@@ -22,6 +22,8 @@ PENALTY_BRANCHES = ("winner", "both")
 
 DEFAULT_BETA = 1.0
 DEFAULT_LAMBDA = 0.001
+DEFAULT_CLEAN_MODE = "self_consistent"
+DEFAULT_PENALTY_BRANCH = "winner"
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -139,7 +141,7 @@ def target_velocity(x0, eps) -> np.ndarray:
     return eps - x0
 
 
-def predict_clean(x_t, t: float, v, mode: str = "self_consistent") -> np.ndarray:
+def predict_clean(x_t, t: float, v, mode: str = DEFAULT_CLEAN_MODE) -> np.ndarray:
     """One-step clean-sample reconstruction from a noisy clip and a velocity.
 
     self_consistent: x_t - t v, which inverts interpolate() exactly for the
@@ -209,8 +211,8 @@ def total_loss(
     model_ref,
     beta: float = DEFAULT_BETA,
     lam: float = DEFAULT_LAMBDA,
-    penalty_branch: str = "winner",
-    clean_mode: str = "self_consistent",
+    penalty_branch: str = DEFAULT_PENALTY_BRANCH,
+    clean_mode: str = DEFAULT_CLEAN_MODE,
 ) -> float:
     """Preference loss plus the temporal penalty on reconstructed clean clips.
 
@@ -255,8 +257,8 @@ def total_loss_gradient(
     model_ref,
     beta: float = DEFAULT_BETA,
     lam: float = DEFAULT_LAMBDA,
-    penalty_branch: str = "winner",
-    clean_mode: str = "self_consistent",
+    penalty_branch: str = DEFAULT_PENALTY_BRANCH,
+    clean_mode: str = DEFAULT_CLEAN_MODE,
 ) -> np.ndarray:
     """Analytic gradient of total_loss wrt model_theta's flat parameters."""
     if penalty_branch not in PENALTY_BRANCHES:
@@ -324,7 +326,7 @@ def mean_reward_margin(items, model_theta, model_ref, beta: float = DEFAULT_BETA
     return float(np.mean([reward_margin(it, model_theta, model_ref, beta) for it in items]))
 
 
-def mean_winner_variance(items, model_theta, clean_mode: str = "self_consistent") -> float:
+def mean_winner_variance(items, model_theta, clean_mode: str = DEFAULT_CLEAN_MODE) -> float:
     """Mean temporal variance of the winner-branch clean reconstruction."""
     vals = []
     for item in items:
@@ -342,8 +344,8 @@ def toy_train(
     beta: float = DEFAULT_BETA,
     lam: float = DEFAULT_LAMBDA,
     seed: int = 0,
-    penalty_branch: str = "winner",
-    clean_mode: str = "self_consistent",
+    penalty_branch: str = DEFAULT_PENALTY_BRANCH,
+    clean_mode: str = DEFAULT_CLEAN_MODE,
 ):
     """Full-batch gradient descent on the mean total loss.
 

@@ -5,14 +5,16 @@ ground-truth scenes, `score` measures videos, `rank` orders generations per
 prompt, `pairs` builds preference pairs, `dpo-demo` runs the toy alignment
 trainer, and `ssim` compares two frames.
 
-Every run is configured by a RunConfig: defaults, overridden by an optional
-JSON config file, overridden by explicit flags.  The canonical serialization
-of the effective config is hashed and embedded in every output artifact, and
-all outputs are deterministic given flags plus seed (reruns are byte
-identical).
+Every subcommand but `rank` is configured by a RunConfig: the defaults of the
+library's parameter records, overridden by an optional JSON config file,
+overridden by explicit flags.  The canonical serialization of the effective
+config is hashed and embedded in every output artifact, and all outputs are
+deterministic given flags plus seed (reruns are byte identical).  `rank` reads
+no configuration; its output carries the config hash of its scores file.
 
-Exit codes: 0 success, 1 fatal error, 2 partial success (some videos flagged
-or groups skipped), 64 usage error.
+Malformed input files end in a fatal error that names the file and the
+offending key.  Exit codes: 0 success, 1 fatal error, 2 partial success (some
+videos flagged or groups skipped), 64 usage error.
 """
 
 from __future__ import annotations
@@ -22,19 +24,30 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
-
-import numpy as np
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .alignment import (
+    CLEAN_MODES,
+    DEFAULT_BETA,
+    DEFAULT_CLEAN_MODE,
+    DEFAULT_LAMBDA,
+    DEFAULT_PENALTY_BRANCH,
+    PENALTY_BRANCHES,
     DpoBatchItem,
     LinearVelocityModel,
     synthetic_preference_items,
     toy_train,
 )
-from .dataset import GenerationGroup, GroupSkipped, build_pairs, rank_group
+from .dataset import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_PAIRS_PER_GROUP,
+    DEFAULT_TAU,
+    GenerationGroup,
+    GroupSkipped,
+    build_pairs,
+    rank_group,
+)
 from .features import FeatureParams
 from .image import DecodeError, ssim
 from .io import (
@@ -50,8 +63,9 @@ from .io import (
     write_jsonl,
     write_pgm,
 )
-from .scoring import ScoringParams, score_video
+from .scoring import AGGREGATIONS, ScoringParams, score_video
 from .synth import (
+    TRAJECTORY_KINDS,
     TrajectorySpec,
     camera_trajectory,
     dynamic_motion,
@@ -65,129 +79,115 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 EXIT_USAGE = 64
 
-THREADS_ENV = "EPIGEO_THREADS"
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the pipeline in one flat, hashable record."""
+    """Run-level settings plus the scoring parameters of one run.
 
-    # feature detection and matching
-    octaves: int = 4
-    scales_per_octave: int = 3
-    base_sigma: float = 1.6
-    contrast_threshold: float = 0.03
-    edge_ratio_threshold: float = 10.0
-    ratio_threshold: float = 0.8
-    mutual: bool = True
-    max_keypoints: int = 2000
-    max_dim: int | None = None
-    # robust estimation
-    ransac_iterations: int = 2000
-    inlier_threshold: float = 1.0
+    Feature and scoring settings live only in ``scoring``, which carries its
+    FeatureParams.  Config files, flags and :meth:`to_dict` address all of
+    them by one flat set of keys.
+    """
+
     seed: int = 0
-    # video scoring
-    gaps: tuple = (4, 8)
-    stride: int = 4
-    min_matches: int = 30
-    aggregation: str = "mean"
-    static_threshold: float = 0.90
-    normalize_by_diagonal: bool = True
     # preference-pair thresholds
-    tau: float = 0.05
-    epsilon: float = 0.5
-    max_pairs_per_group: int = 1
+    tau: float = DEFAULT_TAU
+    epsilon: float = DEFAULT_EPSILON
+    max_pairs_per_group: int = DEFAULT_MAX_PAIRS_PER_GROUP
     # alignment objective
-    beta: float = 1.0
-    lam: float = 0.001
-    clean_mode: str = "self_consistent"
-    penalty_branch: str = "winner"
-
-    def __post_init__(self):
-        object.__setattr__(self, "gaps", tuple(int(g) for g in self.gaps))
-        # constructing the parameter objects runs their validation
-        self.scoring_params()
+    beta: float = DEFAULT_BETA
+    lam: float = DEFAULT_LAMBDA
+    clean_mode: str = DEFAULT_CLEAN_MODE
+    penalty_branch: str = DEFAULT_PENALTY_BRANCH
+    scoring: ScoringParams = field(default_factory=ScoringParams)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["gaps"] = list(d["gaps"])
-        return d
+        """The flat key layout that config files use and the hash covers."""
+        flat = asdict(self)
+        scoring = flat.pop("scoring")
+        flat.update(scoring.pop("feature_params"))
+        flat.update(scoring)
+        flat["gaps"] = list(flat["gaps"])
+        return flat
 
     @property
     def config_hash(self) -> str:
         digest = hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8"))
         return digest.hexdigest()[:16]
 
-    def feature_params(self) -> FeatureParams:
-        return FeatureParams(
-            octaves=self.octaves,
-            scales_per_octave=self.scales_per_octave,
-            base_sigma=self.base_sigma,
-            contrast_threshold=self.contrast_threshold,
-            edge_ratio_threshold=self.edge_ratio_threshold,
-            ratio_threshold=self.ratio_threshold,
-            mutual=self.mutual,
-            max_keypoints=self.max_keypoints,
-            max_dim=self.max_dim,
-        )
 
-    def scoring_params(self) -> ScoringParams:
-        return ScoringParams(
-            gaps=self.gaps,
-            stride=self.stride,
-            min_matches=self.min_matches,
-            ransac_iterations=self.ransac_iterations,
-            inlier_threshold=self.inlier_threshold,
-            aggregation=self.aggregation,
-            static_threshold=self.static_threshold,
-            normalize_by_diagonal=self.normalize_by_diagonal,
-            feature_params=self.feature_params(),
-        )
+def _keys(cls, nested=None) -> tuple:
+    return tuple(f.name for f in fields(cls) if f.name != nested)
 
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-_DEFAULTS = RunConfig()
+_RUN_KEYS = _keys(RunConfig, "scoring")
+_SCORING_KEYS = _keys(ScoringParams, "feature_params")
+_FEATURE_KEYS = _keys(FeatureParams)
+_DEFAULTS = RunConfig().to_dict()
+_SPEC = TrajectorySpec()
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of the default it replaces."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if default is None:  # max_dim: an optional int
+        return value is None or _fits(value, 0)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Defaults, then config-file values, then explicit flag overrides."""
     values = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = set(file_values) - _CONFIG_FIELDS
+        file_values = _read_json_object(path, "config file")
+        unknown = set(file_values) - set(_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            if not _fits(value, _DEFAULTS[key]):
+                raise ValueError(f"{path}: config key {key!r} has the wrong type: {value!r}")
         values.update(file_values)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**values)
+
+    def pick(keys):
+        return {k: values[k] for k in keys if k in values}
+
+    features = FeatureParams(**pick(_FEATURE_KEYS))
+    scoring = ScoringParams(**pick(_SCORING_KEYS), feature_params=features)
+    return RunConfig(**pick(_RUN_KEYS), scoring=scoring)
 
 
 def config_overrides(args) -> dict:
-    """Flag values destined for RunConfig fields (None = not given)."""
-    return {
-        name: getattr(args, name)
-        for name in _CONFIG_FIELDS
-        if hasattr(args, name)
-    }
+    """Flag values destined for config keys (None = not given)."""
+    return {name: getattr(args, name) for name in _DEFAULTS if hasattr(args, name)}
 
 
-def thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV, "").strip()
-    return max(1, int(env)) if env else 1
+def _read_json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: {what} must hold a JSON object")
+    return obj
 
 
-def map_ordered(fn, items, threads: int):
-    """Apply fn preserving input order; thread count never affects results."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _require(entry, key: str, path: str):
+    """entry[key], or a ValueError naming the file and the missing key."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ValueError(f"{path}: an entry lacks the key {key!r}")
+    return entry[key]
+
+
+def _require_number(entry, key: str, path: str) -> float:
+    value = _require(entry, key, path)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: key {key!r} holds {value!r}, not a number") from None
 
 
 # ------------------------------------------------------------------ input sets
@@ -197,12 +197,11 @@ def collect_videos(input_path: str):
     if os.path.isfile(input_path):
         if not input_path.endswith(".json"):
             raise ValueError("input file must be a .json manifest")
-        with open(input_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = _read_json_object(input_path, "manifest")
         base = os.path.dirname(os.path.abspath(input_path))
         videos = []
         for entry in manifest.get("videos", []):
-            vid = entry["id"]
+            vid = _require(entry, "id", input_path)
             if "frames" in entry:
                 paths = [os.path.join(base, p) for p in entry["frames"]]
             elif "dir" in entry:
@@ -236,18 +235,21 @@ def load_score_groups(scores_path: str, groups_path: str):
     header, records = read_jsonl(scores_path)
     by_id = {}
     for rec in records:
-        vs = video_score_from_record(rec)
+        try:
+            vs = video_score_from_record(rec)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{scores_path}: malformed score record ({type(exc).__name__}: {exc})") from None
         by_id[vs.video_id] = vs
-    with open(groups_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json_object(groups_path, "group manifest")
     groups = []
     for entry in manifest.get("groups", []):
+        prompt_id = _require(entry, "prompt_id", groups_path)
         members = []
-        for vid in entry["video_ids"]:
+        for vid in _require(entry, "video_ids", groups_path):
             if vid not in by_id:
-                raise ValueError(f"group {entry['prompt_id']!r} references unscored video {vid!r}")
+                raise ValueError(f"group {prompt_id!r} references unscored video {vid!r}")
             members.append((vid, by_id[vid]))
-        groups.append(GenerationGroup(entry["prompt_id"], tuple(members)))
+        groups.append(GenerationGroup(prompt_id, tuple(members)))
     return groups, (header or {})
 
 
@@ -356,15 +358,11 @@ def cmd_score(args) -> int:
     if not videos:
         print(f"error: no frames found under {args.input}", file=sys.stderr)
         return EXIT_FATAL
-    params = config.scoring_params()
     chash = config.config_hash
-
-    def score_one(entry):
-        vid, paths = entry
-        frames = load_frames(paths)
-        return score_video(frames, params, video_id=vid, seed=config.seed, config_hash=chash)
-
-    scores = map_ordered(score_one, videos, thread_count(args))
+    scores = [
+        score_video(load_frames(paths), config.scoring, video_id=vid, seed=config.seed, config_hash=chash)
+        for vid, paths in videos
+    ]
     records = [video_score_to_record(vs, per_pair=args.per_pair) for vs in scores]
     header = {"config_hash": chash, "tool_version": __version__, "record": "video_score"}
     write_jsonl(args.output, records, header)
@@ -431,18 +429,12 @@ def cmd_pairs(args) -> int:
 
 
 def _items_from_latents(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return [
-        DpoBatchItem(
-            x0_w=np.asarray(entry["x0_w"], dtype=np.float64),
-            x0_l=np.asarray(entry["x0_l"], dtype=np.float64),
-            eps_w=np.asarray(entry["eps_w"], dtype=np.float64),
-            eps_l=np.asarray(entry["eps_l"], dtype=np.float64),
-            t=float(entry["t"]),
-        )
-        for entry in manifest["items"]
-    ]
+    manifest = _read_json_object(path, "latent manifest")
+    items = []
+    for entry in _require(manifest, "items", path):
+        clips = {k: _require(entry, k, path) for k in ("x0_w", "x0_l", "eps_w", "eps_l")}
+        items.append(DpoBatchItem(**clips, t=_require_number(entry, "t", path)))
+    return items
 
 
 def _items_from_pairs(path: str, frames: int, dims: int, seed: int):
@@ -450,7 +442,7 @@ def _items_from_pairs(path: str, frames: int, dims: int, seed: int):
     _, records = read_jsonl(path)
     items = []
     for k, rec in enumerate(records):
-        gap = float(rec["score_gap"])
+        gap = _require_number(rec, "score_gap", path)
         items.extend(
             synthetic_preference_items(
                 1, frames, dims, seed=[seed, k], corruption=0.5 + 4.0 * gap
@@ -546,27 +538,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--threads", type=int, help=f"worker threads (default ${THREADS_ENV} or 1); never affects results")
+def _add_common(parser, configurable=True):
     parser.add_argument("--check", action="store_true", help="re-validate embedded config hashes after writing")
-    parser.add_argument("--seed", type=int, help=f"master seed (default: {_DEFAULTS.seed})")
+    if configurable:
+        parser.add_argument("--config", help="JSON config file; flags override its values")
+        _config_flag(parser, "--seed", "master seed", type=int)
+
+
+def _config_flag(parser, flag, help, dest=None, **kwargs):
+    """A flag that overrides one config key; its help shows the key's default."""
+    dest = dest or flag[2:].replace("-", "_")
+    parser.add_argument(flag, dest=dest, help=f"{help} (default: {_DEFAULTS[dest]})", **kwargs)
 
 
 def _add_scoring_flags(parser):
-    parser.add_argument("--gaps", type=int, nargs="+", help=f"frame index gaps (default: {list(_DEFAULTS.gaps)})")
-    parser.add_argument("--stride", type=int, help=f"starting-index stride (default: {_DEFAULTS.stride})")
-    parser.add_argument("--min-matches", dest="min_matches", type=int, help=f"fewest matches worth estimating from (default: {_DEFAULTS.min_matches})")
-    parser.add_argument("--aggregation", choices=("mean", "median", "trimmed_mean"), help=f"per-video aggregation (default: {_DEFAULTS.aggregation})")
-    parser.add_argument("--static-threshold", dest="static_threshold", type=float, help=f"mean-SSIM level above which a video is near-static (default: {_DEFAULTS.static_threshold})")
-    parser.add_argument("--normalize-by-diagonal", dest="normalize_by_diagonal", action=argparse.BooleanOptionalAction, default=None, help="divide pixel coordinates by the image diagonal (default: on)")
-    parser.add_argument("--ransac-iterations", dest="ransac_iterations", type=int, help=f"RANSAC iterations (default: {_DEFAULTS.ransac_iterations})")
-    parser.add_argument("--inlier-threshold", dest="inlier_threshold", type=float, help=f"inlier threshold, px^2 (default: {_DEFAULTS.inlier_threshold})")
-    parser.add_argument("--octaves", type=int, help=f"scale-space octaves (default: {_DEFAULTS.octaves})")
-    parser.add_argument("--ratio-threshold", dest="ratio_threshold", type=float, help=f"nearest-neighbour ratio cutoff (default: {_DEFAULTS.ratio_threshold})")
-    parser.add_argument("--contrast-threshold", dest="contrast_threshold", type=float, help=f"keypoint contrast cutoff (default: {_DEFAULTS.contrast_threshold})")
-    parser.add_argument("--max-keypoints", dest="max_keypoints", type=int, help=f"keypoint budget per frame (default: {_DEFAULTS.max_keypoints})")
-    parser.add_argument("--max-dim", dest="max_dim", type=int, help="downscale frames so max(width, height) <= this before detection (default: off)")
+    _config_flag(parser, "--gaps", "frame index gaps", type=int, nargs="+")
+    _config_flag(parser, "--stride", "starting-index stride", type=int)
+    _config_flag(parser, "--min-matches", "fewest matches worth estimating from", type=int)
+    _config_flag(parser, "--aggregation", "per-video aggregation", choices=AGGREGATIONS)
+    _config_flag(parser, "--static-threshold", "mean-SSIM level above which a video is near-static", type=float)
+    _config_flag(parser, "--normalize-by-diagonal", "divide pixel coordinates by the image diagonal", action=argparse.BooleanOptionalAction)
+    _config_flag(parser, "--ransac-iterations", "RANSAC iterations", type=int)
+    _config_flag(parser, "--inlier-threshold", "inlier threshold, px^2", type=float)
+    _config_flag(parser, "--octaves", "scale-space octaves", type=int)
+    _config_flag(parser, "--ratio-threshold", "nearest-neighbour ratio cutoff", type=float)
+    _config_flag(parser, "--contrast-threshold", "keypoint contrast cutoff", type=float)
+    _config_flag(parser, "--max-keypoints", "keypoint budget per frame", type=int)
+    _config_flag(parser, "--max-dim", "downscale frames so max(width, height) <= this before detection; None keeps full size", type=int)
 
 
 def build_parser() -> _Parser:
@@ -577,21 +575,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic scene directory")
     _add_common(p)
     p.add_argument("--out", required=True, help="output scene directory")
-    p.add_argument("--kind", choices=("orbit", "dolly", "arc"), default="orbit", help="camera trajectory (default: orbit)")
-    p.add_argument("--frames", type=int, default=8, help="frame count (default: 8)")
-    p.add_argument("--points", type=int, default=150, help="scene points (default: 150)")
-    p.add_argument("--extent", type=float, default=2.5, help="scene half-extent (default: 2.5)")
-    p.add_argument("--width", type=int, default=640, help="image width (default: 640)")
-    p.add_argument("--height", type=int, default=480, help="image height (default: 480)")
-    p.add_argument("--focal", type=float, default=500.0, help="focal length in px (default: 500)")
-    p.add_argument("--radius", type=float, default=8.0, help="trajectory radius (default: 8)")
-    p.add_argument("--travel", type=float, default=0.4, help="dolly travel fraction (default: 0.4)")
-    p.add_argument("--jitter", type=float, default=0.0, help="pixel jitter sigma (default: 0)")
-    p.add_argument("--outliers", type=float, default=0.0, help="outlier fraction per pair (default: 0)")
-    p.add_argument("--dynamic", type=float, default=0.0, help="moving-point fraction (default: 0)")
-    p.add_argument("--dynamic-speed", dest="dynamic_speed", type=float, default=0.05, help="world units per frame for moving points (default: 0.05)")
-    p.add_argument("--dot-sigma", dest="dot_sigma", type=float, default=3.0, help="rendered dot size in px (default: 3.0)")
-    p.add_argument("--texture", type=float, default=0.02, help="background texture amplitude (default: 0.02)")
+    p.add_argument("--kind", choices=TRAJECTORY_KINDS, default=_SPEC.kind, help="camera trajectory (default: %(default)s)")
+    p.add_argument("--frames", type=int, default=_SPEC.n_frames, help="frame count (default: %(default)s)")
+    p.add_argument("--points", type=int, default=150, help="scene points (default: %(default)s)")
+    p.add_argument("--extent", type=float, default=2.5, help="scene half-extent (default: %(default)s)")
+    p.add_argument("--width", type=int, default=_SPEC.width, help="image width (default: %(default)s)")
+    p.add_argument("--height", type=int, default=_SPEC.height, help="image height (default: %(default)s)")
+    p.add_argument("--focal", type=float, default=_SPEC.focal, help="focal length in px (default: %(default)s)")
+    p.add_argument("--radius", type=float, default=_SPEC.radius, help="trajectory radius (default: %(default)s)")
+    p.add_argument("--travel", type=float, default=_SPEC.travel, help="dolly travel fraction (default: %(default)s)")
+    p.add_argument("--jitter", type=float, default=_SPEC.jitter_sigma, help="pixel jitter sigma (default: %(default)s)")
+    p.add_argument("--outliers", type=float, default=_SPEC.outlier_fraction, help="outlier fraction per pair (default: %(default)s)")
+    p.add_argument("--dynamic", type=float, default=_SPEC.dynamic_fraction, help="moving-point fraction (default: %(default)s)")
+    p.add_argument("--dynamic-speed", dest="dynamic_speed", type=float, default=_SPEC.dynamic_speed, help="world units per frame for moving points (default: %(default)s)")
+    p.add_argument("--dot-sigma", dest="dot_sigma", type=float, default=3.0, help="rendered dot size in px (default: %(default)s)")
+    p.add_argument("--texture", type=float, default=0.02, help="background texture amplitude (default: %(default)s)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("score", help="score videos for 3D consistency")
@@ -603,7 +601,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("rank", help="rank scored generations within groups")
-    _add_common(p)
+    _add_common(p, configurable=False)
     p.add_argument("--scores", required=True, help="video-score JSONL from `score`")
     p.add_argument("--groups", required=True, help="group manifest JSON (prompt_id -> video_ids)")
     p.add_argument("--output", required=True, help="output JSONL path")
@@ -614,9 +612,9 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", required=True, help="video-score JSONL from `score`")
     p.add_argument("--groups", required=True, help="group manifest JSON (prompt_id -> video_ids)")
     p.add_argument("--output", required=True, help="output JSONL path")
-    p.add_argument("--tau", type=float, help=f"minimum score gap (default: {_DEFAULTS.tau})")
-    p.add_argument("--eps", dest="epsilon", type=float, help=f"minimum winner score (default: {_DEFAULTS.epsilon})")
-    p.add_argument("--max-pairs-per-group", dest="max_pairs_per_group", type=int, help=f"pair budget per group (default: {_DEFAULTS.max_pairs_per_group})")
+    _config_flag(p, "--tau", "minimum score gap", type=float)
+    _config_flag(p, "--eps", "minimum winner score", dest="epsilon", type=float)
+    _config_flag(p, "--max-pairs-per-group", "pair budget per group", type=int)
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("dpo-demo", help="train the toy preference model")
@@ -625,14 +623,14 @@ def build_parser() -> _Parser:
     src.add_argument("--pairs", help="preference-pair JSONL; latents are synthesized from score gaps")
     src.add_argument("--latents", help="explicit latent manifest JSON")
     p.add_argument("--out", required=True, help="output directory (loss_trace.csv, final_params.json)")
-    p.add_argument("--steps", type=int, default=200, help="gradient steps (default: 200)")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default: 1e-3)")
-    p.add_argument("--frames", type=int, default=6, help="synthesized clip frames (default: 6)")
-    p.add_argument("--dims", type=int, default=4, help="synthesized clip dims (default: 4)")
-    p.add_argument("--beta", type=float, help=f"preference strength (default: {_DEFAULTS.beta})")
-    p.add_argument("--lambda", dest="lam", type=float, help=f"temporal penalty weight (default: {_DEFAULTS.lam})")
-    p.add_argument("--clean-mode", dest="clean_mode", choices=("self_consistent", "reverse_time"), help=f"clean-sample reconstruction convention (default: {_DEFAULTS.clean_mode})")
-    p.add_argument("--penalty-branch", dest="penalty_branch", choices=("winner", "both"), help=f"branch the penalty applies to (default: {_DEFAULTS.penalty_branch})")
+    p.add_argument("--steps", type=int, default=200, help="gradient steps (default: %(default)s)")
+    p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default: %(default)s)")
+    p.add_argument("--frames", type=int, default=6, help="synthesized clip frames (default: %(default)s)")
+    p.add_argument("--dims", type=int, default=4, help="synthesized clip dims (default: %(default)s)")
+    _config_flag(p, "--beta", "preference strength", type=float)
+    _config_flag(p, "--lambda", "temporal penalty weight", dest="lam", type=float)
+    _config_flag(p, "--clean-mode", "clean-sample reconstruction convention", choices=CLEAN_MODES)
+    _config_flag(p, "--penalty-branch", "branch the penalty applies to", choices=PENALTY_BRANCHES)
     p.set_defaults(func=cmd_dpo_demo)
 
     p = sub.add_parser("ssim", help="structural similarity of two frames")

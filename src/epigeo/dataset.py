@@ -14,6 +14,10 @@ from .scoring import VideoScore
 
 SKIP_TOO_FEW_UNFLAGGED = "too_few_unflagged"
 
+DEFAULT_TAU = 0.05
+DEFAULT_EPSILON = 0.5
+DEFAULT_MAX_PAIRS_PER_GROUP = 1
+
 
 class GroupSkipped(Exception):
     """A group cannot be ranked; carries a machine-readable reason code."""
@@ -92,7 +96,13 @@ def rank_group(group: GenerationGroup):
     return sorted(usable, key=lambda m: (-m[1].consistency_score, m[0]))
 
 
-def build_pairs(groups, tau=0.05, epsilon=0.5, max_pairs_per_group=1, on_skip=None):
+def build_pairs(
+    groups,
+    tau=DEFAULT_TAU,
+    epsilon=DEFAULT_EPSILON,
+    max_pairs_per_group=DEFAULT_MAX_PAIRS_PER_GROUP,
+    on_skip=None,
+):
     """Preference pairs from scored groups.
 
     With ``max_pairs_per_group=1`` (the default) only the best-vs-worst pair

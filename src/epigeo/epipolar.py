@@ -193,15 +193,17 @@ def _f_matrix(f) -> np.ndarray:
 
 
 def _canonicalize(m: np.ndarray) -> np.ndarray:
-    """Scale to unit Frobenius norm; flip sign so the largest |entry| is positive."""
-    norm = np.linalg.norm(m)
-    if norm == 0 or not np.isfinite(norm):
+    """Scale each 3x3 of a (K, 3, 3) stack to unit Frobenius norm; flip its
+    sign so the largest |entry| is positive."""
+    flat = m.reshape(len(m), 9)
+    # the row dot product np.linalg.norm takes, so results match it bit for bit
+    norm = np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(-1)
+    if not np.all((norm > 0) & np.isfinite(norm)):
         raise EstimationFailedError("estimated matrix is zero or non-finite")
-    m = m / norm
-    flat = np.abs(m).ravel()
-    if m.ravel()[int(np.argmax(flat))] < 0:
-        m = -m
-    return m
+    flat = flat / norm[:, None]
+    peak = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+    flat[peak < 0] = -flat[peak < 0]
+    return flat.reshape(-1, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -217,47 +219,67 @@ def normalize_points(points):
     pts = as_homogeneous(points)
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points, got {len(pts)}")
-    xy = pts[:, :2]
-    centroid = xy.mean(axis=0)
-    dists = np.linalg.norm(xy - centroid, axis=1)
-    mean_dist = dists.mean()
-    if mean_dist < 1e-12:
+    normed, T, ok = _normalize_stack(pts[None])
+    if not ok[0]:
         raise DegenerateConfigurationError("all points are identical")
-    s = np.sqrt(2.0) / mean_dist
-    T = np.array(
-        [
-            [s, 0.0, -s * centroid[0]],
-            [0.0, s, -s * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return pts @ T.T, T
+    return normed[0], T[0]
+
+
+def _normalize_stack(pts: np.ndarray):
+    """Hartley normalization of a (K, N, 3) stack of z = 1 point sets.
+
+    Returns (transformed points, T per set, ok); ok is False for a set whose
+    points all coincide, and its T is then meaningless.
+    """
+    xy = pts[..., :2]
+    centroid = xy.mean(axis=-2)
+    mean_dist = np.linalg.norm(xy - centroid[:, None, :], axis=-1).mean(axis=-1)
+    ok = mean_dist >= 1e-12
+    s = np.sqrt(2.0) / np.where(ok, mean_dist, 1.0)
+    T = np.zeros((len(pts), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, 2, 2] = 1.0
+    return pts @ np.swapaxes(T, -1, -2), T, ok
+
+
+def _eight_point_stack(a: np.ndarray, b: np.ndarray):
+    """Normalized 8-point solve on (K, N, 3) stacks of z = 1 points.
+
+    Returns (F per set, ok); ok is False where the set is degenerate
+    (coincident, coplanar or repeated points), and that F is meaningless.
+    """
+    na, Ta, ok_a = _normalize_stack(a)
+    nb, Tb, ok_b = _normalize_stack(b)
+    # bilinear constraint rows: one per correspondence, unknown F' rav'd row-major
+    design = np.empty(na.shape[:2] + (9,))
+    design[..., 0] = nb[..., 0] * na[..., 0]
+    design[..., 1] = nb[..., 0] * na[..., 1]
+    design[..., 2] = nb[..., 0]
+    design[..., 3] = nb[..., 1] * na[..., 0]
+    design[..., 4] = nb[..., 1] * na[..., 1]
+    design[..., 5] = nb[..., 1]
+    design[..., 6] = na[..., 0]
+    design[..., 7] = na[..., 1]
+    design[..., 8] = 1.0
+    _, s, vt = np.linalg.svd(design)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ok_a & ok_b & (s[:, -2] > 0) & ~(s[:, 0] / s[:, -2] > CONDITION_LIMIT)
+    u, sv, vt2 = np.linalg.svd(vt[:, -1].reshape(-1, 3, 3))
+    sv[:, 2] = 0.0
+    m = np.swapaxes(Tb, -1, -2) @ ((u * sv[:, None, :]) @ vt2) @ Ta
+    m[ok] = _canonicalize(m[ok])
+    return m, ok
 
 
 def _eight_point_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Core normalized 8-point solve on homogeneous (N, 3) arrays."""
-    na, Ta = normalize_points(a)
-    nb, Tb = normalize_points(b)
-    # bilinear constraint rows: one per correspondence, unknown F' rav'd row-major
-    design = np.empty((len(na), 9))
-    design[:, 0] = nb[:, 0] * na[:, 0]
-    design[:, 1] = nb[:, 0] * na[:, 1]
-    design[:, 2] = nb[:, 0]
-    design[:, 3] = nb[:, 1] * na[:, 0]
-    design[:, 4] = nb[:, 1] * na[:, 1]
-    design[:, 5] = nb[:, 1]
-    design[:, 6] = na[:, 0]
-    design[:, 7] = na[:, 1]
-    design[:, 8] = 1.0
-    _, s, vt = np.linalg.svd(design)
-    if s[-2] <= 0 or s[0] / s[-2] > CONDITION_LIMIT:
+    """Normalized 8-point solve on homogeneous (N, 3) arrays."""
+    m, ok = _eight_point_stack(a[None], b[None])
+    if not ok[0]:
         raise DegenerateConfigurationError(
             "correspondences are degenerate (coplanar or repeated points)"
         )
-    f_hat = vt[-1].reshape(3, 3)
-    u, sv, vt2 = np.linalg.svd(f_hat)
-    f_hat = (u * np.array([sv[0], sv[1], 0.0])) @ vt2
-    return _canonicalize(Tb.T @ f_hat @ Ta)
+    return m[0]
 
 
 def eight_point(correspondences) -> FundamentalMatrix:
@@ -280,18 +302,18 @@ def sampson_errors(f, points_a, points_b):
     (both points at epipoles) are set to the cap value and flagged; callers
     exclude flagged entries from aggregation.
     """
-    m = _f_matrix(f)
-    a = as_homogeneous(points_a)
-    b = as_homogeneous(points_b)
-    fx = a @ m.T          # lines in image B
-    ftx = b @ m           # lines in image A
-    resid = np.einsum("ij,ij->i", b, fx)
-    denom = fx[:, 0] ** 2 + fx[:, 1] ** 2 + ftx[:, 0] ** 2 + ftx[:, 1] ** 2
+    return _sampson_stack(_f_matrix(f), as_homogeneous(points_a), as_homogeneous(points_b))
+
+
+def _sampson_stack(m: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Sampson errors of (N, 3) point arrays under each F of a (..., 3, 3) stack."""
+    fx = a @ np.swapaxes(m, -1, -2)  # lines in image B
+    ftx = b @ m                      # lines in image A
+    resid = np.einsum("ij,...ij->...i", b, fx)
+    denom = fx[..., 0] ** 2 + fx[..., 1] ** 2 + ftx[..., 0] ** 2 + ftx[..., 1] ** 2
     flagged = denom < DENOM_EPS
-    values = np.empty(len(a))
-    safe = ~flagged
-    values[safe] = resid[safe] ** 2 / denom[safe]
-    values[flagged] = SAMPSON_CAP
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(flagged, SAMPSON_CAP, resid**2 / denom)
     return values, flagged
 
 
@@ -338,6 +360,34 @@ def symmetric_epipolar_error(f, c: Correspondence, with_flag: bool = False):
 # robust estimation
 
 
+# candidates x points evaluated at once by RANSAC; bounds its (K, N, 3)
+# temporaries to a few MB
+RANSAC_BLOCK_POINTS = 1 << 16
+
+
+def _ransac_candidates(a, b, iterations, inlier_threshold, seed):
+    """Yield (i, inlier count, errors, inlier mask, F) for each RANSAC
+    iteration whose sample gives a model with inliers, in iteration order.
+
+    Iterations are solved and scored in blocks, one stacked call per step;
+    each iteration draws its sample from default_rng(seed ^ i).
+    """
+    n = len(a)
+    block = max(1, RANSAC_BLOCK_POINTS // n)
+    for start in range(0, iterations, block):
+        stop = min(start + block, iterations)
+        idx = np.array([
+            np.random.default_rng(seed ^ i).choice(n, size=8, replace=False)
+            for i in range(start, stop)
+        ])
+        models, ok = _eight_point_stack(a[idx], b[idx])
+        errors, flagged = _sampson_stack(models, a, b)
+        masks = (errors < inlier_threshold) & ~flagged
+        counts = masks.sum(axis=1)
+        for k in np.flatnonzero(ok & (counts > 0)):
+            yield start + int(k), int(counts[k]), errors[k], masks[k], models[k]
+
+
 def ransac_fundamental(
     correspondences,
     iterations: int = 2000,
@@ -362,22 +412,13 @@ def ransac_fundamental(
         raise ValueError("iterations must be >= 1")
 
     best = None  # (count, mean_inlier_error, mask, model)
-    for i in range(iterations):
-        rng = np.random.default_rng(seed ^ i)
-        idx = rng.choice(n, size=8, replace=False)
-        try:
-            model = _eight_point_arrays(a[idx], b[idx])
-        except DegenerateConfigurationError:
-            continue
-        errors, flagged = sampson_errors(model, a, b)
-        mask = (errors < inlier_threshold) & ~flagged
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        mean_err = float(errors[mask].mean())
-        if best is None or count > best[0] or (count == best[0] and mean_err < best[1]):
-            best = (count, mean_err, mask, model)
-        if adaptive and best is not None and best[0] >= 8:
+    for i, count, errors, mask, model in _ransac_candidates(
+            a, b, iterations, inlier_threshold, seed):
+        if best is None or count >= best[0]:
+            mean_err = float(errors[mask].mean())
+            if best is None or count > best[0] or mean_err < best[1]:
+                best = (count, mean_err, mask, model)
+        if adaptive and best[0] >= 8:
             ratio = best[0] / n
             miss = 1.0 - min(ratio, 1.0 - 1e-12) ** 8
             needed = int(np.ceil(np.log(1.0 - confidence) / np.log(miss)))
@@ -433,7 +474,7 @@ def fundamental_from_cameras(cam_a: CameraMatrix, cam_b: CameraMatrix) -> Fundam
     center_h = np.append(cam_a.center, 1.0)
     e_prime = pp @ center_h
     m = skew(e_prime) @ pp @ np.linalg.pinv(p)
-    return FundamentalMatrix(_canonicalize(m), inlier_count=0, method="from_cameras")
+    return FundamentalMatrix(_canonicalize(m[None])[0], inlier_count=0, method="from_cameras")
 
 
 def epipole(f, which: str = "left") -> Epipole:

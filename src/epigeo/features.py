@@ -13,9 +13,7 @@ run concurrently without shared state.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +42,6 @@ class FeatureParams:
     mutual: bool = True
     max_keypoints: int = 2000
     max_dim: int | None = None
-
-    def digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
 
 
 @dataclass
@@ -511,60 +505,3 @@ def match_frames(feats_a: FrameFeatures, feats_b: FrameFeatures, params: Feature
         pa = np.empty((0, 2))
         pb = np.empty((0, 2))
     return pa, pb, matches
-
-
-class FeatureCache:
-    """JSONL store of per-frame features keyed by frame hash and params hash."""
-
-    def __init__(self, path=None):
-        self.path = path
-        self.entries = {}
-        if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line or line.startswith("#"):
-                            continue
-                        rec = json.loads(line)
-                        self.entries[(rec["frame_sha256"], rec["params_sha256"])] = rec
-            except FileNotFoundError:
-                pass
-
-    @staticmethod
-    def frame_digest(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
-    def get(self, frame_hash: str, params_hash: str):
-        rec = self.entries.get((frame_hash, params_hash))
-        if rec is None:
-            return None
-        kps = [
-            Keypoint(x=k[0], y=k[1], scale=k[2], orientation=k[3], response=k[4])
-            for k in rec["keypoints"]
-        ]
-        desc = np.array(rec["descriptors"], dtype=np.float64)
-        if desc.size == 0:
-            desc = np.empty((0, DESC_SIZE))
-        return FrameFeatures(kps, desc, rec.get("skipped", 0))
-
-    def put(self, frame_hash: str, params_hash: str, feats: FrameFeatures):
-        rec = {
-            "frame_sha256": frame_hash,
-            "params_sha256": params_hash,
-            "keypoints": [
-                [kp.x, kp.y, kp.scale, kp.orientation, kp.response]
-                for kp in feats.keypoints
-            ],
-            "descriptors": feats.descriptors.tolist(),
-            "skipped": feats.skipped,
-        }
-        self.entries[(frame_hash, params_hash)] = rec
-
-    def save(self, path=None):
-        path = path or self.path
-        if path is None:
-            raise ValueError("no cache path given")
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.entries.values():
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")

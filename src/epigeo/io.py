@@ -160,24 +160,5 @@ def preference_pair_to_record(p: PreferencePair) -> dict:
     }
 
 
-def preference_pair_from_record(rec: dict) -> PreferencePair:
-    return PreferencePair(
-        prompt_id=rec["prompt_id"],
-        winner_id=rec["winner_id"],
-        loser_id=rec["loser_id"],
-        winner_score=float(rec["winner_score"]),
-        loser_score=float(rec["loser_score"]),
-        score_gap=rec["score_gap"],
-    )
-
-
 def camera_to_record(cam: CameraMatrix) -> dict:
     return {"k": cam.k.tolist(), "r": cam.r.tolist(), "t": cam.t.tolist()}
-
-
-def camera_from_record(rec: dict) -> CameraMatrix:
-    return CameraMatrix(
-        np.asarray(rec["k"], dtype=np.float64),
-        np.asarray(rec["r"], dtype=np.float64),
-        np.asarray(rec["t"], dtype=np.float64),
-    )

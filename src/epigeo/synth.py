@@ -22,6 +22,8 @@ from .epipolar import CameraMatrix
 from .image import Frame, gaussian_blur_array
 
 # sub-stream keys so each degradation has an independent, stable RNG
+TRAJECTORY_KINDS = ("orbit", "dolly", "arc")
+
 _JITTER_KEY = 101
 _OUTLIER_KEY = 202
 _DYNAMIC_KEY = 303
@@ -83,7 +85,7 @@ class TrajectorySpec:
     dynamic_speed: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ("orbit", "dolly", "arc"):
+        if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.n_frames < 2:
             raise ValueError("n_frames must be >= 2")

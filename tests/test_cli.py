@@ -17,12 +17,14 @@ from epigeo.cli import (
     EXIT_PARTIAL,
     EXIT_USAGE,
     RunConfig,
+    build_parser,
     check_jsonl,
     collect_videos,
+    config_overrides,
     load_config,
     main,
 )
-from epigeo.io import read_jsonl
+from epigeo.io import read_jsonl, write_jsonl
 
 SCORE_FLAGS = [
     "--gaps", "1", "2", "--stride", "1", "--ransac-iterations", "300",
@@ -114,6 +116,92 @@ def test_empty_input_dir_is_fatal(tmp_path, capsys):
     assert "no frames" in capsys.readouterr().err
 
 
+def test_removed_flags_are_usage_errors(tmp_path):
+    for argv in (["score", str(tmp_path), "--output", "o.jsonl", "--threads", "2"],
+                 ["rank", "--scores", "s", "--groups", "g", "--output", "o", "--seed", "1"],
+                 ["rank", "--scores", "s", "--groups", "g", "--output", "o", "--config", "c"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _scores_lacking(ws, tmp, key):
+    header, records = read_jsonl(ws / "scores.jsonl")
+    for rec in records:
+        del rec[key]
+    path = tmp / "bad_scores.jsonl"
+    write_jsonl(path, records, header)
+    return path
+
+
+def _malformed_run(case, ws, tmp):
+    """(argv, malformed file) for one subcommand reading one bad input."""
+    out = str(tmp / "out")
+    scores, groups = ws / "scores.jsonl", ws / "groups.json"
+    if case == "manifest_entry_without_id":
+        bad = _write_json(tmp / "manifest.json", {"videos": [{"dir": "clean/frames"}]})
+        return ["score", str(bad), "--output", out], bad
+    if case == "manifest_is_a_list":
+        bad = _write_json(tmp / "manifest.json", [{"id": "clean", "dir": "clean/frames"}])
+        return ["score", str(bad), "--output", out], bad
+    if case in ("rank_scores_without_error", "pairs_scores_without_error"):
+        bad = _scores_lacking(ws, tmp, "consistency_error")
+        return [case.split("_")[0], "--scores", str(bad), "--groups", str(groups), "--output", out], bad
+    if case in ("group_without_video_ids", "group_without_prompt_id"):
+        entry = {"prompt_id": "p0", "video_ids": ["clean", "shaky"]}
+        del entry[case[len("group_without_"):]]
+        bad = _write_json(tmp / "groups.json", {"groups": [entry]})
+        return ["rank", "--scores", str(scores), "--groups", str(bad), "--output", out], bad
+    if case in ("pair_without_score_gap", "pair_with_null_score_gap"):
+        record = {"prompt_id": "p0", "winner_id": "clean", "loser_id": "shaky"}
+        if case == "pair_with_null_score_gap":
+            record["score_gap"] = None
+        bad = tmp / "pairs.jsonl"
+        write_jsonl(bad, [record])
+        return ["dpo-demo", "--pairs", str(bad), "--out", out], bad
+    if case in ("latent_without_x0_l", "latent_with_null_t"):
+        item = synthetic_preference_items(1, frames=4, dims=2, seed=0)[0]
+        entry = {"x0_w": item.x0_w.tolist(), "x0_l": item.x0_l.tolist(),
+                 "eps_w": item.eps_w.tolist(), "eps_l": item.eps_l.tolist(), "t": item.t}
+        if case == "latent_without_x0_l":
+            del entry["x0_l"]
+        else:
+            entry["t"] = None
+        bad = _write_json(tmp / "latents.json", {"items": [entry]})
+        return ["dpo-demo", "--latents", str(bad), "--out", out], bad
+    if case == "config_with_string_stride":
+        bad = _write_json(tmp / "cfg.json", {"stride": "x"})
+        return ["score", str(ws / "manifest.json"), "--config", str(bad), "--output", out], bad
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case, key", [
+    ("manifest_entry_without_id", "id"),
+    ("manifest_is_a_list", "JSON object"),
+    ("rank_scores_without_error", "consistency_error"),
+    ("pairs_scores_without_error", "consistency_error"),
+    ("group_without_video_ids", "video_ids"),
+    ("group_without_prompt_id", "prompt_id"),
+    ("pair_without_score_gap", "score_gap"),
+    ("pair_with_null_score_gap", "score_gap"),
+    ("latent_without_x0_l", "x0_l"),
+    ("latent_with_null_t", "'t'"),
+    ("config_with_string_stride", "stride"),
+])
+def test_malformed_input_is_fatal(workspace, tmp_path, capsys, case, key):
+    argv, bad = _malformed_run(case, workspace, tmp_path)
+    assert main(argv) == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(bad) in err
+    assert key in err
+
+
 # --------------------------------------------------------------------- config
 
 def test_runconfig_hash_is_stable_hex():
@@ -126,15 +214,30 @@ def test_runconfig_hash_is_stable_hex():
 def test_runconfig_hash_tracks_fields():
     assert RunConfig().config_hash != RunConfig(seed=1).config_hash
     assert RunConfig().config_hash != RunConfig(tau=0.06).config_hash
+    assert RunConfig().config_hash != load_config(None, {"octaves": 3}).config_hash
+
+
+def test_config_hash_is_pinned():
+    # outputs already written carry these hashes; the flat key layout keeps them
+    assert RunConfig().config_hash == "43446a61413ee426"
+    args = build_parser().parse_args(["score", "in", "--output", "out"] + SCORE_FLAGS)
+    assert load_config(None, config_overrides(args)).config_hash == "0d325af401a17a26"
+
+
+def test_config_flat_layout_round_trips():
+    flat = RunConfig().to_dict()
+    assert len(flat) == 25
+    assert load_config(None, flat) == RunConfig()
 
 
 def test_load_config_merges_file_and_flags(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3, "stride": 2}))
-    cfg = load_config(str(path), {"seed": 9, "tau": None})
+    cfg = load_config(str(path), {"seed": 9, "tau": None, "octaves": None})
     assert cfg.seed == 9          # flag beats file
-    assert cfg.stride == 2        # file beats default
+    assert cfg.scoring.stride == 2    # file beats default
     assert cfg.tau == RunConfig().tau
+    assert cfg.scoring.feature_params.octaves == RunConfig().scoring.feature_params.octaves
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -250,21 +353,6 @@ def test_score_rerun_is_byte_identical(workspace, tmp_path):
                  "--output", str(out), "--per-pair"] + SCORE_FLAGS)
     assert code == EXIT_PARTIAL
     assert out.read_bytes() == (workspace / "scores.jsonl").read_bytes()
-
-
-def test_score_thread_count_does_not_change_bytes(workspace, tmp_path, monkeypatch):
-    env_out = tmp_path / "env.jsonl"
-    monkeypatch.setenv("EPIGEO_THREADS", "4")
-    code = main(["score", str(workspace / "manifest.json"),
-                 "--output", str(env_out), "--per-pair"] + SCORE_FLAGS)
-    assert code == EXIT_PARTIAL
-    monkeypatch.delenv("EPIGEO_THREADS")
-    flag_out = tmp_path / "flag.jsonl"
-    code = main(["score", str(workspace / "manifest.json"), "--threads", "3",
-                 "--output", str(flag_out), "--per-pair"] + SCORE_FLAGS)
-    assert code == EXIT_PARTIAL
-    assert env_out.read_bytes() == (workspace / "scores.jsonl").read_bytes()
-    assert flag_out.read_bytes() == (workspace / "scores.jsonl").read_bytes()
 
 
 def test_collect_videos_nested_frames_dir(workspace):

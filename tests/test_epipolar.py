@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from epigeo import epipolar
 from epigeo.epipolar import (
     CameraMatrix,
     Correspondence,
@@ -236,6 +237,22 @@ class TestRansac:
         xb = xb + np.random.default_rng(3).normal(0, 0.3, xb.shape)
         f1, m1 = ransac_fundamental((xa, xb), iterations=300, seed=7)
         f2, m2 = ransac_fundamental((xa, xb), iterations=300, seed=7)
+        assert np.array_equal(m1, m2)
+        assert np.array_equal(f1.m, f2.m)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_block_size_does_not_change_result(self, rig, monkeypatch, adaptive):
+        # on this data the adaptive run stops early with a different model
+        # than the full run, so its stopping iteration is checked too
+        cam_a, cam_b = rig
+        xa, xb, _ = project_box(cam_a, cam_b, 40, seed=26)
+        rng = np.random.default_rng(4)
+        xb = xb + rng.normal(0, 1.0, xb.shape)
+        xb[:8] = rng.uniform((0, 0), (640, 480), size=(8, 2))
+        kwargs = dict(iterations=300, inlier_threshold=1.0, seed=16, adaptive=adaptive)
+        f1, m1 = ransac_fundamental((xa, xb), **kwargs)
+        monkeypatch.setattr(epipolar, "RANSAC_BLOCK_POINTS", 1)  # one iteration per block
+        f2, m2 = ransac_fundamental((xa, xb), **kwargs)
         assert np.array_equal(m1, m2)
         assert np.array_equal(f1.m, f2.m)
 

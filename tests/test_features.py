@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from epigeo.features import (
-    FeatureCache,
     FeatureParams,
     Keypoint,
     build_scale_space,
@@ -313,21 +312,3 @@ class TestExtractAndCache:
         pa, pb, matches = match_frames(feats, feats, params)
         assert len(pa) == len(matches) == len(pb)
         assert all(m.index_a == m.index_b for m in matches)
-
-    def test_cache_roundtrip(self, tmp_path):
-        _, frame = dot_grid(n=20, size=192, spacing=30)
-        params = FeatureParams(octaves=3)
-        feats = extract_features(frame, params)
-        cache = FeatureCache()
-        cache.put("framehash", params.digest(), feats)
-        path = tmp_path / "features.jsonl"
-        cache.save(path)
-        loaded = FeatureCache(path)
-        assert loaded.get("framehash", "wrong") is None
-        got = loaded.get("framehash", params.digest())
-        assert got is not None
-        np.testing.assert_allclose(got.descriptors, feats.descriptors)
-        assert [k.x for k in got.keypoints] == [k.x for k in feats.keypoints]
-
-    def test_params_digest_changes(self):
-        assert FeatureParams().digest() != FeatureParams(octaves=3).digest()

@@ -169,7 +169,10 @@ def config_overrides(args) -> dict:
 
 def _read_json_object(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: {what} must hold a JSON object")
     return obj
@@ -180,6 +183,13 @@ def _require(entry, key: str, path: str):
     if not isinstance(entry, dict) or key not in entry:
         raise ValueError(f"{path}: an entry lacks the key {key!r}")
     return entry[key]
+
+
+def _require_type(value, kind: type, key: str, path: str):
+    """value, or a ValueError naming the file and the key when not a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: key {key!r} holds {type(value).__name__}, not {kind.__name__}")
+    return value
 
 
 def _require_number(entry, key: str, path: str) -> float:
@@ -200,12 +210,15 @@ def collect_videos(input_path: str):
         manifest = _read_json_object(input_path, "manifest")
         base = os.path.dirname(os.path.abspath(input_path))
         videos = []
-        for entry in manifest.get("videos", []):
+        for entry in _require_type(manifest.get("videos", []), list, "videos", input_path):
             vid = _require(entry, "id", input_path)
             if "frames" in entry:
-                paths = [os.path.join(base, p) for p in entry["frames"]]
+                frames = _require_type(entry["frames"], list, "frames", input_path)
+                paths = [os.path.join(base, _require_type(p, str, "frames", input_path))
+                         for p in frames]
             elif "dir" in entry:
-                paths = list_frame_files(os.path.join(base, entry["dir"]))
+                directory = _require_type(entry["dir"], str, "dir", input_path)
+                paths = list_frame_files(os.path.join(base, directory))
             else:
                 raise ValueError(f"video {vid!r} needs a 'frames' list or a 'dir'")
             videos.append((vid, paths))
@@ -242,10 +255,11 @@ def load_score_groups(scores_path: str, groups_path: str):
         by_id[vs.video_id] = vs
     manifest = _read_json_object(groups_path, "group manifest")
     groups = []
-    for entry in manifest.get("groups", []):
+    for entry in _require_type(manifest.get("groups", []), list, "groups", groups_path):
         prompt_id = _require(entry, "prompt_id", groups_path)
+        video_ids = _require(entry, "video_ids", groups_path)
         members = []
-        for vid in _require(entry, "video_ids", groups_path):
+        for vid in _require_type(video_ids, list, "video_ids", groups_path):
             if vid not in by_id:
                 raise ValueError(f"group {prompt_id!r} references unscored video {vid!r}")
             members.append((vid, by_id[vid]))
@@ -431,7 +445,7 @@ def cmd_pairs(args) -> int:
 def _items_from_latents(path: str):
     manifest = _read_json_object(path, "latent manifest")
     items = []
-    for entry in _require(manifest, "items", path):
+    for entry in _require_type(_require(manifest, "items", path), list, "items", path):
         clips = {k: _require(entry, k, path) for k in ("x0_w", "x0_l", "eps_w", "eps_l")}
         items.append(DpoBatchItem(**clips, t=_require_number(entry, "t", path)))
     return items

@@ -43,6 +43,24 @@ class FeatureParams:
     max_keypoints: int = 2000
     max_dim: int | None = None
 
+    def __post_init__(self):
+        if self.octaves < 1:
+            raise ValueError("octaves must be >= 1")
+        if self.scales_per_octave < 3:
+            raise ValueError("scales_per_octave must be >= 3")
+        if self.base_sigma <= 0:
+            raise ValueError("base_sigma must be positive")
+        if self.contrast_threshold < 0:
+            raise ValueError("contrast_threshold must be >= 0")
+        if self.edge_ratio_threshold <= 0:
+            raise ValueError("edge_ratio_threshold must be positive")
+        if not 0.0 < self.ratio_threshold <= 1.0:
+            raise ValueError("ratio_threshold must be in (0, 1]")
+        if self.max_keypoints < 1:
+            raise ValueError("max_keypoints must be >= 1")
+        if self.max_dim is not None and self.max_dim < 16:
+            raise ValueError("max_dim must be None or >= 16")
+
 
 @dataclass
 class Keypoint:
@@ -202,18 +220,17 @@ def _refine(stack, s, y, x, n_layers, height, width):
     return None
 
 
-def _gradients(img, cache, key):
-    if key not in cache:
-        gy = np.empty_like(img)
-        gx = np.empty_like(img)
-        gy[1:-1] = (img[2:] - img[:-2]) / 2.0
-        gy[0] = img[1] - img[0]
-        gy[-1] = img[-1] - img[-2]
-        gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
-        gx[:, 0] = img[:, 1] - img[:, 0]
-        gx[:, -1] = img[:, -1] - img[:, -2]
-        cache[key] = (gx, gy)
-    return cache[key]
+def _gradients(img):
+    """(gx, gy): central differences inside, one-sided at the border."""
+    gy = np.empty_like(img)
+    gx = np.empty_like(img)
+    gy[1:-1] = (img[2:] - img[:-2]) / 2.0
+    gy[0] = img[1] - img[0]
+    gy[-1] = img[-1] - img[-2]
+    gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
+    gx[:, 0] = img[:, 1] - img[:, 0]
+    gx[:, -1] = img[:, -1] - img[:, -2]
+    return gx, gy
 
 
 def _orientations(gx, gy, x, y, sigma_local):
@@ -294,7 +311,9 @@ def detect_keypoints(
             sigma_local = pyramid.base_sigma * 2.0 ** (
                 (s0 + offset[0]) / pyramid.scales_per_octave
             )
-            gx, gy = _gradients(pyramid.gaussians[o][s0], grad_cache, (o, s0))
+            if (o, s0) not in grad_cache:
+                grad_cache[o, s0] = _gradients(pyramid.gaussians[o][s0])
+            gx, gy = grad_cache[o, s0]
             for theta in _orientations(gx, gy, x_oct, y_oct, sigma_local):
                 keypoints.append(
                     Keypoint(
@@ -346,68 +365,112 @@ def _bilinear(img, xs, ys):
 DESC_SAMPLE_SPACING = 0.75
 
 
-def _one_descriptor(gx, gy, kp: Keypoint):
+# keypoints described in one batched pass; bounds the (K, 256) and
+# (K, ~1600) temporaries however many keypoints share an (octave, level)
+DESC_BLOCK_KEYPOINTS = 256
+
+
+def _spatial_corners():
+    """The four spatial corners of each sample's trilinear spread.
+
+    Per corner (dr, dc), in accumulation order: the samples whose corner cell
+    lies in the 4x4 grid, their row and column weights, and that cell's first
+    histogram bin.
+    """
+    r0 = np.floor(_CELL_R).astype(int)
+    c0 = np.floor(_CELL_C).astype(int)
+    fr = _CELL_R - r0
+    fc = _CELL_C - c0
+    corners = []
+    for dr, wr in ((0, 1 - fr), (1, fr)):
+        rr = r0 + dr
+        for dc, wc in ((0, 1 - fc), (1, fc)):
+            cc = c0 + dc
+            sel = np.flatnonzero((rr >= 0) & (rr < DESC_GRID) & (cc >= 0) & (cc < DESC_GRID))
+            corners.append((sel, wr[sel], wc[sel], (rr[sel] * DESC_GRID + cc[sel]) * DESC_BINS))
+    return tuple(corners)
+
+
+_SPATIAL_CORNERS = _spatial_corners()
+
+
+def _describe_block(gx, gy, kps):
+    """Descriptors of keypoints sharing one gradient image.
+
+    Returns (kept, rows): a mask over `kps` of those whose sample window fits
+    the image and whose histogram is not empty, and their (kept.sum(), 128)
+    unit descriptor rows. Every bin sums its terms in the order of a
+    per-keypoint np.add.at over the eight trilinear corners, and each row is
+    normalized by np.linalg.norm of that row, so the rows are bit-identical
+    to describing the keypoints one at a time.
+    """
     height, width = gx.shape
-    cos_t, sin_t = np.cos(kp.orientation), np.sin(kp.orientation)
-    spacing = DESC_SAMPLE_SPACING * kp.sigma_local
+    theta = np.array([kp.orientation for kp in kps])[:, None]
+    spacing = DESC_SAMPLE_SPACING * np.array([kp.sigma_local for kp in kps])[:, None]
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     u = _DESC_UU.ravel() * spacing
     v = _DESC_VV.ravel() * spacing
-    sx = kp.x_octave + cos_t * u - sin_t * v
-    sy = kp.y_octave + sin_t * u + cos_t * v
-    if sx.min() < 0 or sy.min() < 0 or sx.max() >= width - 1 or sy.max() >= height - 1:
-        return None
+    sx = np.array([kp.x_octave for kp in kps])[:, None] + cos_t * u - sin_t * v
+    sy = np.array([kp.y_octave for kp in kps])[:, None] + sin_t * u + cos_t * v
+    inside = (
+        (sx.min(axis=1) >= 0) & (sy.min(axis=1) >= 0)
+        & (sx.max(axis=1) < width - 1) & (sy.max(axis=1) < height - 1)
+    )
+    sx, sy, theta = sx[inside], sy[inside], theta[inside]
     gxs = _bilinear(gx, sx, sy)
     gys = _bilinear(gy, sx, sy)
     mag = np.hypot(gxs, gys) * _DESC_GAUSS
-    ang = np.mod(np.arctan2(gys, gxs) - kp.orientation, 2.0 * np.pi)
+    ang = np.mod(np.arctan2(gys, gxs) - theta, 2.0 * np.pi)
     obin = ang / (2.0 * np.pi) * DESC_BINS
-
-    hist = np.zeros((DESC_GRID, DESC_GRID, DESC_BINS))
-    r0 = np.floor(_CELL_R).astype(int)
-    c0 = np.floor(_CELL_C).astype(int)
     o0 = np.floor(obin).astype(int)
-    fr = _CELL_R - r0
-    fc = _CELL_C - c0
     fo = obin - o0
-    for dr, wr in ((0, 1 - fr), (1, fr)):
-        rr = r0 + dr
-        ok_r = (rr >= 0) & (rr < DESC_GRID)
-        for dc, wc in ((0, 1 - fc), (1, fc)):
-            cc = c0 + dc
-            ok = ok_r & (cc >= 0) & (cc < DESC_GRID)
-            for do, wo in ((0, 1 - fo), (1, fo)):
-                oo = (o0 + do) % DESC_BINS
-                w = mag * wr * wc * wo
-                np.add.at(hist, (rr[ok], cc[ok], oo[ok]), w[ok])
-    vec = hist.ravel()
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return None
-    vec = np.minimum(vec / norm, DESC_CLIP)
-    return vec / np.linalg.norm(vec)
+
+    # (K, terms) weights and bins, corner-major within each row, so one
+    # bincount adds every bin's terms in the per-keypoint order
+    weights, bins = [], []
+    for sel, wr, wc, cell in _SPATIAL_CORNERS:
+        spatial = mag[:, sel] * wr * wc
+        for do, wo in ((0, 1 - fo), (1, fo)):
+            weights.append(spatial * wo[:, sel])
+            bins.append(cell + (o0[:, sel] + do) % DESC_BINS)
+    n = len(mag)
+    offsets = np.arange(n)[:, None] * DESC_SIZE
+    hist = np.bincount(
+        (np.concatenate(bins, axis=1) + offsets).ravel(),
+        np.concatenate(weights, axis=1).ravel(),
+        minlength=n * DESC_SIZE,
+    ).reshape(n, DESC_SIZE)
+
+    norms = np.array([np.linalg.norm(h) for h in hist])
+    nonzero = norms >= 1e-12
+    clipped = np.minimum(hist[nonzero] / norms[nonzero, None], DESC_CLIP)
+    clipped /= np.array([np.linalg.norm(c) for c in clipped])[:, None]
+    kept = inside.copy()
+    kept[inside] = nonzero
+    return kept, clipped
 
 
 def compute_descriptors(pyramid: ScaleSpace, keypoints):
     """Descriptors for keypoints whose sample window fits their octave image.
 
-    Returns FrameFeatures: kept keypoints, their (N, 128) descriptor rows,
-    and the count of keypoints skipped because the window left the image.
+    Returns FrameFeatures: kept keypoints in input order, their (N, 128)
+    descriptor rows, and the count of keypoints skipped because the window
+    left the image (or, degenerately, held no gradient).
     """
-    grad_cache = {}
-    kept = []
-    rows = []
-    skipped = 0
-    for kp in keypoints:
-        img = pyramid.gaussians[kp.octave][kp.level]
-        gx, gy = _gradients(img, grad_cache, (kp.octave, kp.level))
-        vec = _one_descriptor(gx, gy, kp)
-        if vec is None:
-            skipped += 1
-            continue
-        kept.append(kp)
-        rows.append(vec)
-    desc = np.array(rows) if rows else np.empty((0, DESC_SIZE))
-    return FrameFeatures(kept, desc, skipped)
+    by_level = {}
+    for i, kp in enumerate(keypoints):
+        by_level.setdefault((kp.octave, kp.level), []).append(i)
+    kept = np.zeros(len(keypoints), dtype=bool)
+    desc = np.empty((len(keypoints), DESC_SIZE))
+    for (o, s), members in by_level.items():
+        gx, gy = _gradients(pyramid.gaussians[o][s])
+        for start in range(0, len(members), DESC_BLOCK_KEYPOINTS):
+            block = np.array(members[start : start + DESC_BLOCK_KEYPOINTS])
+            ok, rows = _describe_block(gx, gy, [keypoints[i] for i in block])
+            kept[block[ok]] = True
+            desc[block[ok]] = rows
+    kps = [kp for kp, k in zip(keypoints, kept) if k]
+    return FrameFeatures(kps, desc[kept], len(keypoints) - len(kps))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +525,7 @@ def match_descriptors(
 
 
 # ---------------------------------------------------------------------------
-# convenience and caching
+# one-call extraction and frame matching
 
 
 def extract_features(frame: Frame, params: FeatureParams | None = None) -> FrameFeatures:

@@ -29,6 +29,7 @@ class DecodeError(ValueError):
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -212,36 +213,69 @@ def _decode_png(data: bytes) -> Frame:
 
 
 def _png_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
-    """Undo per-scanline PNG filters. Returns a (height, stride) uint8 array."""
-    out = np.zeros((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.int32)
+    """Undo per-scanline PNG filters. Returns a (height, stride) uint8 array.
+
+    None, Sub and Up are whole-row uint8 operations, which wrap mod 256 as
+    the filters require. Average and Paeth predict each byte from the one
+    just decoded to its left, so they step through the row, over Python
+    ints and bytes: a NumPy scalar per byte costs several times as much.
+    """
+    out = np.empty((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
     for row in range(height):
         offset = row * (stride + 1)
         ftype = raw[offset]
-        line = np.frombuffer(raw, np.uint8, stride, offset + 1).astype(np.int32)
+        line = np.frombuffer(raw, np.uint8, stride, offset + 1)
         if ftype == 0:
-            cur = line
+            out[row] = line
+        elif ftype == 1:
+            out[row] = np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8).ravel()
         elif ftype == 2:
-            cur = (line + prev) & 0xFF
-        elif ftype in (1, 3, 4):
-            cur = np.zeros(stride, dtype=np.int32)
-            for i in range(stride):
-                a = cur[i - bpp] if i >= bpp else 0
-                b = prev[i]
-                if ftype == 1:
-                    pred = a
-                elif ftype == 3:
-                    pred = (a + b) >> 1
-                else:
-                    c = prev[i - bpp] if i >= bpp else 0
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                cur[i] = (line[i] + pred) & 0xFF
+            np.add(line, prev, out=out[row])
+        elif ftype in (3, 4):
+            undo = _unfilter_average if ftype == 3 else _unfilter_paeth
+            out[row] = np.frombuffer(undo(line.tobytes(), prev.tobytes(), bpp), np.uint8)
         else:
             raise DecodeError(f"invalid PNG filter type {ftype}", offset)
-        out[row] = cur
-        prev = cur
+        prev = out[row]
+    return out
+
+
+def _unfilter_average(line: bytes, prev: bytes, bpp: int) -> bytearray:
+    """Undo the Average filter, one byte lane (a sample byte position) at a time."""
+    out = bytearray(len(line))
+    for lane in range(bpp):
+        a = 0
+        decoded = bytearray()
+        for x, b in zip(line[lane::bpp], prev[lane::bpp]):
+            a = (x + ((a + b) >> 1)) & 0xFF
+            decoded.append(a)
+        out[lane::bpp] = decoded
+    return out
+
+
+def _unfilter_paeth(line: bytes, prev: bytes, bpp: int) -> bytearray:
+    """Undo the Paeth filter, one byte lane at a time.
+
+    a, b and c are the decoded bytes left, above and above-left; with
+    p = a + b - c, the predictor is whichever of them is nearest to p,
+    ties going to a, then b.
+    """
+    out = bytearray(len(line))
+    for lane in range(bpp):
+        a = c = 0
+        decoded = bytearray()
+        for x, b in zip(line[lane::bpp], prev[lane::bpp]):
+            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
+            if pa <= pb and pa <= pc:
+                a = (x + a) & 0xFF
+            elif pb <= pc:
+                a = (x + b) & 0xFF
+            else:
+                a = (x + c) & 0xFF
+            decoded.append(a)
+            c = b
+        out[lane::bpp] = decoded
     return out
 
 

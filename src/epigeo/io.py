@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import PreferencePair
 from .epipolar import CameraMatrix
-from .image import Frame, decode_frame
+from .image import DecodeError, Frame, decode_frame
 from .scoring import PairScore, VideoScore
 
 FRAME_EXTENSIONS = (".pgm", ".png")
@@ -47,8 +47,13 @@ def write_pgm(frame: Frame, path, comment: str | None = None) -> None:
 
 
 def load_frame(path) -> Frame:
+    """Decode one frame file; a DecodeError names the file."""
     with open(path, "rb") as fh:
-        return decode_frame(fh.read())
+        data = fh.read()
+    try:
+        return decode_frame(data)
+    except DecodeError as exc:
+        raise DecodeError(f"{path}: {exc.message}", exc.offset) from None
 
 
 def list_frame_files(directory):
@@ -75,19 +80,24 @@ def write_jsonl(path, records, header: dict | None = None) -> None:
 
 
 def read_jsonl(path):
-    """Returns (header dict or None, list of records)."""
+    """Returns (header dict or None, list of records).
+
+    A line that is not JSON raises a ValueError naming the file and the line.
+    """
     header = None
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for k, line in enumerate(fh):
             line = line.strip()
-            if not line:
+            if not line or (line.startswith("#") and k > 0):
                 continue
-            if line.startswith("#"):
-                if k == 0:
+            try:
+                if line.startswith("#"):
                     header = json.loads(line.lstrip("# "))
-                continue
-            records.append(json.loads(line))
+                else:
+                    records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {k + 1}: {exc}") from None
     return header, records
 
 

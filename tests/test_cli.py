@@ -6,6 +6,8 @@ surface as SystemExit(64).
 
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -174,6 +176,40 @@ def _malformed_run(case, ws, tmp):
             entry["t"] = None
         bad = _write_json(tmp / "latents.json", {"items": [entry]})
         return ["dpo-demo", "--latents", str(bad), "--out", out], bad
+    if case == "manifest_videos_not_a_list":
+        bad = _write_json(tmp / "manifest.json", {"videos": 5})
+        return ["score", str(bad), "--output", out], bad
+    if case in ("manifest_frames_not_a_list", "manifest_dir_not_a_string"):
+        entry = {"id": "v", "frames": "f.png"} if case.endswith("list") else {"id": "v", "dir": 5}
+        bad = _write_json(tmp / "manifest.json", {"videos": [entry]})
+        return ["score", str(bad), "--output", out], bad
+    if case in ("groups_not_a_list", "video_ids_not_a_list"):
+        manifest = ({"groups": {"p0": ["clean", "shaky"]}} if case == "groups_not_a_list"
+                    else {"groups": [{"prompt_id": "p0", "video_ids": "clean"}]})
+        bad = _write_json(tmp / "groups.json", manifest)
+        return ["pairs", "--scores", str(scores), "--groups", str(bad), "--output", out], bad
+    if case == "latent_items_not_a_list":
+        bad = _write_json(tmp / "latents.json", {"items": 3})
+        return ["dpo-demo", "--latents", str(bad), "--out", out], bad
+    if case == "scores_line_not_json":
+        bad = tmp / "bad_scores.jsonl"
+        lines = (ws / "scores.jsonl").read_text().splitlines()
+        lines[2] = lines[2][:-1]  # drop the closing brace of the second record
+        bad.write_text("\n".join(lines) + "\n")
+        return ["rank", "--scores", str(bad), "--groups", str(groups), "--output", out], bad
+    if case == "config_not_json":
+        bad = tmp / "cfg.json"
+        bad.write_text('{"stride": 2,}')
+        return ["score", str(ws / "manifest.json"), "--config", str(bad), "--output", out], bad
+    if case == "truncated_png_frame":
+        frames = tmp / "video"
+        frames.mkdir()
+        bad = frames / "frame_000.png"
+        ihdr = b"IHDR" + struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
+        # signature and IHDR, then the stream ends where the next chunk should start
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + ihdr
+                        + struct.pack(">I", zlib.crc32(ihdr)))
+        return ["score", str(frames), "--output", out], bad
     if case == "config_with_string_stride":
         bad = _write_json(tmp / "cfg.json", {"stride": "x"})
         return ["score", str(ws / "manifest.json"), "--config", str(bad), "--output", out], bad
@@ -192,6 +228,15 @@ def _malformed_run(case, ws, tmp):
     ("latent_without_x0_l", "x0_l"),
     ("latent_with_null_t", "'t'"),
     ("config_with_string_stride", "stride"),
+    ("manifest_videos_not_a_list", "'videos'"),
+    ("manifest_frames_not_a_list", "'frames'"),
+    ("groups_not_a_list", "'groups'"),
+    ("video_ids_not_a_list", "'video_ids'"),
+    ("manifest_dir_not_a_string", "'dir'"),
+    ("latent_items_not_a_list", "'items'"),
+    ("scores_line_not_json", "line 3"),
+    ("config_not_json", "line 1"),
+    ("truncated_png_frame", "truncated PNG chunk"),
 ])
 def test_malformed_input_is_fatal(workspace, tmp_path, capsys, case, key):
     argv, bad = _malformed_run(case, workspace, tmp_path)
@@ -200,6 +245,17 @@ def test_malformed_input_is_fatal(workspace, tmp_path, capsys, case, key):
     assert err.startswith("error:")
     assert str(bad) in err
     assert key in err
+
+
+@pytest.mark.parametrize("flags", [["--max-keypoints", "0"], ["--max-keypoints", "-3"],
+                                   ["--octaves", "0"], ["--ratio-threshold", "1.5"],
+                                   ["--max-dim", "8"]])
+def test_invalid_feature_settings_are_fatal(workspace, tmp_path, capsys, flags):
+    code = main(["score", str(workspace / "manifest.json"),
+                 "--output", str(tmp_path / "out.jsonl")] + flags)
+    assert code == EXIT_FATAL
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 # --------------------------------------------------------------------- config

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from epigeo import features
 from epigeo.features import (
+    DESC_BLOCK_KEYPOINTS,
     FeatureParams,
     Keypoint,
     build_scale_space,
@@ -218,6 +220,97 @@ class TestComputeDescriptors:
         assert len(feats.keypoints) == 0
 
 
+def one_descriptor(gx, gy, kp):
+    """The former per-keypoint descriptor: np.add.at over eight trilinear corners."""
+    height, width = gx.shape
+    cos_t, sin_t = np.cos(kp.orientation), np.sin(kp.orientation)
+    spacing = features.DESC_SAMPLE_SPACING * kp.sigma_local
+    u = features._DESC_UU.ravel() * spacing
+    v = features._DESC_VV.ravel() * spacing
+    sx = kp.x_octave + cos_t * u - sin_t * v
+    sy = kp.y_octave + sin_t * u + cos_t * v
+    if sx.min() < 0 or sy.min() < 0 or sx.max() >= width - 1 or sy.max() >= height - 1:
+        return None
+    gxs = features._bilinear(gx, sx, sy)
+    gys = features._bilinear(gy, sx, sy)
+    mag = np.hypot(gxs, gys) * features._DESC_GAUSS
+    ang = np.mod(np.arctan2(gys, gxs) - kp.orientation, 2.0 * np.pi)
+    obin = ang / (2.0 * np.pi) * 8
+
+    hist = np.zeros((4, 4, 8))
+    r0 = np.floor(features._CELL_R).astype(int)
+    c0 = np.floor(features._CELL_C).astype(int)
+    o0 = np.floor(obin).astype(int)
+    fr = features._CELL_R - r0
+    fc = features._CELL_C - c0
+    fo = obin - o0
+    for dr, wr in ((0, 1 - fr), (1, fr)):
+        rr = r0 + dr
+        ok_r = (rr >= 0) & (rr < 4)
+        for dc, wc in ((0, 1 - fc), (1, fc)):
+            cc = c0 + dc
+            ok = ok_r & (cc >= 0) & (cc < 4)
+            for do, wo in ((0, 1 - fo), (1, fo)):
+                oo = (o0 + do) % 8
+                w = mag * wr * wc * wo
+                np.add.at(hist, (rr[ok], cc[ok], oo[ok]), w[ok])
+    vec = hist.ravel()
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        return None
+    vec = np.minimum(vec / norm, features.DESC_CLIP)
+    return vec / np.linalg.norm(vec)
+
+
+def reference_descriptors(pyramid, keypoints):
+    """(kept keypoints, descriptor rows, skipped) from one_descriptor, keypoint by keypoint."""
+    kept, rows = [], []
+    for kp in keypoints:
+        gx, gy = features._gradients(pyramid.gaussians[kp.octave][kp.level])
+        vec = one_descriptor(gx, gy, kp)
+        if vec is not None:
+            kept.append(kp)
+            rows.append(vec)
+    return kept, np.array(rows).reshape(-1, 128), len(keypoints) - len(kept)
+
+
+def crowded_level(pyramid, n, seed):
+    """n keypoints on octave 0, level 1, spread over the whole image, so some
+    sample windows leave it; n exceeds one descriptor block."""
+    rng = np.random.default_rng(seed)
+    height, width = pyramid.gaussians[0][1].shape
+    sigma = pyramid.sigma_local(1)
+    xs, ys = rng.uniform(0, width - 1, n), rng.uniform(0, height - 1, n)
+    return [
+        Keypoint(x=x, y=y, scale=sigma, orientation=t, response=1.0, octave=0, level=1,
+                 x_octave=x, y_octave=y, sigma_local=sigma)
+        for x, y, t in zip(xs, ys, rng.uniform(0, 2 * np.pi, n))
+    ]
+
+
+class TestDescriptorsAgainstReference:
+    @pytest.mark.parametrize("octaves", [1, 2, 3])
+    def test_bit_identical_to_per_keypoint_loop(self, octaves):
+        _, frame = dot_grid(n=50, seed=octaves)
+        pyr = build_scale_space(frame, octaves=octaves)
+        kps = detect_keypoints(pyr)
+        # mixed levels and input order; the crowded level spans three blocks
+        kps = kps + crowded_level(pyr, 2 * DESC_BLOCK_KEYPOINTS + 7, seed=octaves)
+        kps = [kps[i] for i in np.random.default_rng(octaves).permutation(len(kps))]
+        feats = compute_descriptors(pyr, kps)
+        kept, rows, skipped = reference_descriptors(pyr, kps)
+        assert skipped > 0 and len(kept) > 2 * DESC_BLOCK_KEYPOINTS
+        assert [id(kp) for kp in feats.keypoints] == [id(kp) for kp in kept]
+        assert feats.skipped == skipped
+        assert np.array_equal(feats.descriptors, rows)
+
+    def test_no_keypoints(self):
+        _, frame = dot_grid(n=10)
+        feats = compute_descriptors(build_scale_space(frame, octaves=1), [])
+        assert feats.keypoints == [] and feats.skipped == 0
+        assert feats.descriptors.shape == (0, 128)
+
+
 def random_unit_descriptors(n, seed):
     rng = np.random.default_rng(seed)
     d = np.abs(rng.normal(size=(n, 128)))
@@ -282,6 +375,22 @@ class TestMatchDescriptors:
             match_descriptors(d, d, ratio_threshold=0.0)
         with pytest.raises(ValueError):
             match_descriptors(d, d, ratio_threshold=1.5)
+
+
+class TestFeatureParams:
+    @pytest.mark.parametrize("bad", [
+        {"octaves": 0}, {"scales_per_octave": 2}, {"base_sigma": 0.0},
+        {"contrast_threshold": -0.01}, {"edge_ratio_threshold": 0.0},
+        {"ratio_threshold": 0.0}, {"ratio_threshold": 1.01}, {"max_keypoints": 0},
+        {"max_dim": 15},
+    ])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            FeatureParams(**bad)
+
+    def test_accepts_limits(self):
+        FeatureParams(octaves=1, scales_per_octave=3, contrast_threshold=0.0,
+                      ratio_threshold=1.0, max_keypoints=1, max_dim=16)
 
 
 class TestExtractAndCache:

@@ -45,7 +45,6 @@ from .dataset import (
 )
 from .epipolar import (
     CameraMatrix,
-    Correspondence,
     DegenerateConfigurationError,
     EstimationFailedError,
     FundamentalMatrix,
@@ -54,9 +53,8 @@ from .epipolar import (
     fundamental_from_cameras,
     normalize_points,
     ransac_fundamental,
-    sampson_error,
     sampson_errors,
-    symmetric_epipolar_error,
+    symmetric_epipolar_errors,
 )
 from .features import FeatureParams, extract_features, match_frames
 from .image import Frame, DecodeError, decode_frame, gaussian_blur, motion_level, ssim
@@ -82,10 +80,10 @@ __all__ = [
     "__version__",
     "Frame", "DecodeError", "decode_frame", "gaussian_blur", "motion_level", "ssim",
     "FeatureParams", "extract_features", "match_frames",
-    "CameraMatrix", "Correspondence", "FundamentalMatrix",
+    "CameraMatrix", "FundamentalMatrix",
     "DegenerateConfigurationError", "EstimationFailedError",
     "eight_point", "epipole", "fundamental_from_cameras", "normalize_points",
-    "ransac_fundamental", "sampson_error", "sampson_errors", "symmetric_epipolar_error",
+    "ransac_fundamental", "sampson_errors", "symmetric_epipolar_errors",
     "Scene", "TrajectorySpec", "camera_trajectory", "generate_scene",
     "project_scene", "render_video",
     "PairScore", "ScoringParams", "VideoScore", "frame_pairs",

@@ -192,6 +192,14 @@ def _require_type(value, kind: type, key: str, path: str):
     return value
 
 
+def _require_id(value, key: str, path: str):
+    """value, or a ValueError naming the file and the key when it is a JSON
+    list or object; ids may be any JSON scalar."""
+    if isinstance(value, (list, dict)):
+        raise ValueError(f"{path}: key {key!r} holds {type(value).__name__}, not a scalar id")
+    return value
+
+
 def _require_number(entry, key: str, path: str) -> float:
     value = _require(entry, key, path)
     try:
@@ -252,7 +260,7 @@ def load_score_groups(scores_path: str, groups_path: str):
             vs = video_score_from_record(rec)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{scores_path}: malformed score record ({type(exc).__name__}: {exc})") from None
-        by_id[vs.video_id] = vs
+        by_id[_require_id(vs.video_id, "video_id", scores_path)] = vs
     manifest = _read_json_object(groups_path, "group manifest")
     groups = []
     for entry in _require_type(manifest.get("groups", []), list, "groups", groups_path):
@@ -260,7 +268,7 @@ def load_score_groups(scores_path: str, groups_path: str):
         video_ids = _require(entry, "video_ids", groups_path)
         members = []
         for vid in _require_type(video_ids, list, "video_ids", groups_path):
-            if vid not in by_id:
+            if _require_id(vid, "video_ids", groups_path) not in by_id:
                 raise ValueError(f"group {prompt_id!r} references unscored video {vid!r}")
             members.append((vid, by_id[vid]))
         groups.append(GenerationGroup(prompt_id, tuple(members)))

@@ -11,9 +11,11 @@ Conventions used throughout:
     largest-magnitude entry is positive (stable serialization);
   - errors are squared pixel distances (px^2).
 
-Correspondence sets are passed either as a list of Correspondence objects,
-as a tuple (points_a, points_b) of (N, 2) or (N, 3) arrays, or as a single
-(N, 4) array of rows (x, y, xp, yp).
+A correspondence set has one form: a tuple (points_a, points_b) of (N, 2)
+pixel or (N, 3) homogeneous arrays, row k of points_a matched with row k of
+points_b. Each public entry point validates it once with
+correspondence_arrays; the stacked solvers behind them take the validated
+(N, 3) arrays as they are.
 """
 
 from __future__ import annotations
@@ -38,30 +40,6 @@ class DegenerateConfigurationError(ValueError):
 
 class EstimationFailedError(RuntimeError):
     """Robust estimation could not produce a usable model."""
-
-
-@dataclass
-class Correspondence:
-    """A matched point pair in homogeneous pixel coordinates (x, y, 1)."""
-
-    x: np.ndarray
-    xp: np.ndarray
-
-    def __post_init__(self):
-        self.x = _check_homogeneous(np.asarray(self.x, dtype=np.float64), "x")
-        self.xp = _check_homogeneous(np.asarray(self.xp, dtype=np.float64), "xp")
-
-
-def _check_homogeneous(v, name):
-    if v.shape == (2,):
-        v = np.array([v[0], v[1], 1.0])
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a homogeneous 2D point, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite coordinates")
-    if v[2] != 1.0:
-        raise ValueError(f"{name} must have third homogeneous coordinate 1, got {v[2]}")
-    return v
 
 
 @dataclass
@@ -158,26 +136,14 @@ def as_homogeneous(points) -> np.ndarray:
 
 
 def correspondence_arrays(correspondences):
-    """Normalize any accepted correspondence container to two (N, 3) arrays."""
-    if isinstance(correspondences, tuple) and len(correspondences) == 2:
-        a, b = correspondences
-    elif isinstance(correspondences, np.ndarray) and correspondences.ndim == 2 \
-            and correspondences.shape[1] == 4:
-        a, b = correspondences[:, :2], correspondences[:, 2:]
-    else:
-        seq = list(correspondences)
-        if not seq:
-            raise ValueError("empty correspondence set")
-        if isinstance(seq[0], Correspondence):
-            a = np.array([c.x for c in seq])
-            b = np.array([c.xp for c in seq])
-        else:
-            raise TypeError(
-                "correspondences must be Correspondence objects, an (N, 4) array, "
-                "or a (points_a, points_b) tuple"
-            )
-    a = as_homogeneous(a)
-    b = as_homogeneous(b)
+    """Validate a (points_a, points_b) tuple; returns two (N, 3) arrays with z = 1."""
+    if not (isinstance(correspondences, tuple) and len(correspondences) == 2):
+        raise TypeError(
+            "correspondences must be a (points_a, points_b) tuple of (N, 2) or (N, 3) "
+            f"arrays, got {type(correspondences).__name__}"
+        )
+    a = as_homogeneous(correspondences[0])
+    b = as_homogeneous(correspondences[1])
     if len(a) != len(b):
         raise ValueError(f"point sets differ in length: {len(a)} vs {len(b)}")
     return a, b
@@ -296,13 +262,15 @@ def eight_point(correspondences) -> FundamentalMatrix:
 
 
 def sampson_errors(f, points_a, points_b):
-    """Batched first-order geometric error, in px^2.
+    """First-order geometric error of each correspondence, in px^2.
 
-    Returns (values, flagged). Entries whose denominator falls below 1e-15
-    (both points at epipoles) are set to the cap value and flagged; callers
-    exclude flagged entries from aggregation.
+    points_a and points_b are the two sides of one correspondence set; a
+    single correspondence is a one-row set. Returns (values, flagged).
+    Entries whose denominator falls below 1e-15 (both points at epipoles)
+    are set to the cap value and flagged; callers exclude flagged entries
+    from aggregation.
     """
-    return _sampson_stack(_f_matrix(f), as_homogeneous(points_a), as_homogeneous(points_b))
+    return _sampson_stack(_f_matrix(f), *correspondence_arrays((points_a, points_b)))
 
 
 def _sampson_stack(m: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -317,24 +285,15 @@ def _sampson_stack(m: np.ndarray, a: np.ndarray, b: np.ndarray):
     return values, flagged
 
 
-def sampson_error(f, c: Correspondence, with_flag: bool = False):
-    """Sampson error of a single correspondence: (x'^T F x)^2 over the
-    summed squared line gradients; returns the cap value when degenerate."""
-    values, flagged = sampson_errors(f, c.x[None, :], c.xp[None, :])
-    if with_flag:
-        return float(values[0]), bool(flagged[0])
-    return float(values[0])
-
-
 def symmetric_epipolar_errors(f, points_a, points_b):
-    """Batched sum of squared point-to-epipolar-line distances in both images.
+    """Sum of squared point-to-epipolar-line distances in both images, per
+    correspondence of the set (points_a, points_b).
 
     Returns (values, flagged); a correspondence whose epipolar line in either
     image has zero normal is capped and flagged.
     """
     m = _f_matrix(f)
-    a = as_homogeneous(points_a)
-    b = as_homogeneous(points_b)
+    a, b = correspondence_arrays((points_a, points_b))
     fx = a @ m.T
     ftx = b @ m
     resid2 = np.einsum("ij,ij->i", b, fx) ** 2
@@ -346,14 +305,6 @@ def symmetric_epipolar_errors(f, points_a, points_b):
     values[safe] = resid2[safe] / norm_b[safe] + resid2[safe] / norm_a[safe]
     values[flagged] = SAMPSON_CAP
     return values, flagged
-
-
-def symmetric_epipolar_error(f, c: Correspondence, with_flag: bool = False):
-    """Symmetric epipolar error of a single correspondence."""
-    values, flagged = symmetric_epipolar_errors(f, c.x[None, :], c.xp[None, :])
-    if with_flag:
-        return float(values[0]), bool(flagged[0])
-    return float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +387,7 @@ def ransac_fundamental(
         refit = _eight_point_arrays(a[mask], b[mask])
     except DegenerateConfigurationError:
         refit = model  # consensus set itself degenerate; keep the sample model
-    errors, flagged = sampson_errors(refit, a, b)
+    errors, flagged = _sampson_stack(refit, a, b)
     final_mask = (errors < inlier_threshold) & ~flagged
     if int(final_mask.sum()) < 8:
         final_mask = mask  # refit drifted off the consensus; keep the sample mask

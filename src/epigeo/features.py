@@ -7,8 +7,7 @@ orientation assignment, and 4x4x8 gradient descriptors over a rotated
 16x16 sample window. Matching is Lowe's ratio test with an optional
 mutual-consistency filter.
 
-All functions here are pure; per-frame detection and per-pair matching can
-run concurrently without shared state.
+A match set is an (M, 2) integer array of (index_a, index_b) rows.
 """
 
 from __future__ import annotations
@@ -76,14 +75,6 @@ class Keypoint:
     x_octave: float = 0.0      # subpixel position in octave sampling
     y_octave: float = 0.0
     sigma_local: float = 0.0   # sigma in octave sampling units
-
-
-@dataclass
-class Match:
-    index_a: int
-    index_b: int
-    distance: float
-    ratio: float
 
 
 @dataclass
@@ -479,49 +470,36 @@ def compute_descriptors(pyramid: ScaleSpace, keypoints):
 
 def match_descriptors(
     desc_a, desc_b, ratio_threshold: float = 0.8, mutual: bool = True
-) -> list:
+) -> np.ndarray:
     """Lowe ratio matching from a to b.
 
-    A query with no second neighbor gets ratio 0 (always passes). With
-    mutual=True a match must also be b's best partner for that query.
+    Returns an (M, 2) intp array of (index_a, index_b) rows in ascending
+    index_a. A query with no second neighbor, or whose two nearest distances
+    are both zero, gets ratio 0 (always passes). With mutual=True a match
+    must also be b's best partner for that query.
     """
     if not 0.0 < ratio_threshold <= 1.0:
         raise ValueError("ratio_threshold must be in (0, 1]")
     a = np.asarray(desc_a, dtype=np.float64)
     b = np.asarray(desc_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
-        return []
+        return np.empty((0, 2), dtype=np.intp)
     d2 = np.maximum(
         (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T),
         0.0,
     )
+    queries = np.arange(len(a))
     nearest = d2.argmin(axis=1)
+    # mutual check first: d2 is masked in place below
+    keep = d2.argmin(axis=0)[nearest] == queries if mutual else np.ones(len(a), bool)
     # recompute the winning distances directly: the quadratic expansion
     # loses precision exactly where it matters, near zero
     best = np.linalg.norm(a - b[nearest], axis=1)
-    if b.shape[0] >= 2:
-        masked = d2.copy()
-        masked[np.arange(len(a)), nearest] = np.inf
-        second = np.sqrt(masked.min(axis=1))
-    else:
-        second = None
-    if mutual:
-        reverse = d2.argmin(axis=0)
-    matches = []
-    for i in range(len(a)):
-        j = int(nearest[i])
-        if second is None:
-            ratio = 0.0
-        elif second[i] > 0:
-            ratio = float(best[i] / second[i])
-        else:
-            ratio = 0.0  # best and second both exact: treat as unambiguous
-        if ratio >= ratio_threshold:
-            continue
-        if mutual and int(reverse[j]) != i:
-            continue
-        matches.append(Match(i, j, float(best[i]), ratio))
-    return matches
+    d2[queries, nearest] = np.inf
+    second = np.sqrt(d2.min(axis=1))  # inf when b has one row
+    ratio = np.divide(best, second, out=np.zeros_like(best), where=second > 0)
+    keep &= ratio < ratio_threshold
+    return np.column_stack([queries[keep], nearest[keep]])
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +534,18 @@ def extract_features(frame: Frame, params: FeatureParams | None = None) -> Frame
     return feats
 
 
+def _positions(feats: FrameFeatures) -> np.ndarray:
+    return np.array([(kp.x, kp.y) for kp in feats.keypoints], dtype=np.float64).reshape(-1, 2)
+
+
 def match_frames(feats_a: FrameFeatures, feats_b: FrameFeatures, params: FeatureParams | None = None):
-    """Match two frames' features; returns (points_a, points_b, matches)."""
+    """Ratio-test matching of two frames' features; returns (points_a, points_b, pairs).
+
+    pairs is the (M, 2) index array of match_descriptors; row k of points_a
+    and points_b holds the pixel positions of the keypoints of pairs[k].
+    """
     params = params or FeatureParams()
-    matches = match_descriptors(
+    pairs = match_descriptors(
         feats_a.descriptors, feats_b.descriptors, params.ratio_threshold, params.mutual
     )
-    pa = np.array([[feats_a.keypoints[m.index_a].x, feats_a.keypoints[m.index_a].y] for m in matches])
-    pb = np.array([[feats_b.keypoints[m.index_b].x, feats_b.keypoints[m.index_b].y] for m in matches])
-    if not matches:
-        pa = np.empty((0, 2))
-        pb = np.empty((0, 2))
-    return pa, pb, matches
+    return _positions(feats_a)[pairs[:, 0]], _positions(feats_b)[pairs[:, 1]], pairs

@@ -284,7 +284,7 @@ def score_video(
 
     Features are extracted once per frame that participates in any pair.
     Per-pair RANSAC randomness derives from (seed, i, j) only, so pair order
-    and parallel execution cannot change results.
+    cannot change results.
     """
     params = params or ScoringParams()
     frames = list(frames)
@@ -331,8 +331,9 @@ def score_video_from_correspondences(
 ):
     """Score a video from already-matched point pairs.
 
-    ``pair_points`` maps (i, j) frame index pairs to (points_a, points_b)
-    arrays or to any object with an ``as_arrays()`` method returning them.
+    ``pair_points`` maps (i, j) frame index pairs to a correspondence set:
+    a (points_a, points_b) tuple of (N, 2) pixel arrays, or an object such
+    as ``synth.CorrespondenceSet`` whose ``as_arrays()`` returns that tuple.
     No matching or detection runs, so this isolates the geometric statistics
     from feature noise.  ``motion`` may be supplied if frames exist elsewhere;
     without it the near-static flag stays off.

@@ -28,14 +28,11 @@ from epigeo.cli import main as cli_main
 from epigeo.dataset import GenerationGroup, build_pairs
 from epigeo.epipolar import (
     CameraMatrix,
-    Correspondence,
     as_homogeneous,
     eight_point,
     fundamental_from_cameras,
     ransac_fundamental,
-    sampson_error,
     sampson_errors,
-    symmetric_epipolar_error,
     symmetric_epipolar_errors,
 )
 from epigeo.features import FeatureParams
@@ -135,16 +132,21 @@ def test_criterion_03_ransac_robustness():
 
 def test_criterion_04_residual_formulas():
     f = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+
+    def one_row(errors, x, xp):
+        # a single correspondence is a one-row set
+        return float(errors(f, np.array([x]), np.array([xp]))[0][0])
+
     # numerator (x'^T F x)^2 = 1, denominator (Fx)_1^2+(Fx)_2^2+(F^T x')_1^2+(F^T x')_2^2 = 2
-    s1 = sampson_error(f, Correspondence([0.0, 0.0], [0.0, 1.0]))
+    s1 = one_row(sampson_errors, [0.0, 0.0], [0.0, 1.0])
     # numerator (-2)^2 = 4, denominator 1 + 1 = 2
-    s2 = sampson_error(f, Correspondence([2.0, 3.0], [4.0, 5.0]))
+    s2 = one_row(sampson_errors, [2.0, 3.0], [4.0, 5.0])
     # x' exactly on the line Fx: numerator 0
-    s3 = sampson_error(f, Correspondence([0.0, 0.0], [5.0, 0.0]))
+    s3 = one_row(sampson_errors, [0.0, 0.0], [5.0, 0.0])
     # squared line distances 1 + 1
-    e1 = symmetric_epipolar_error(f, Correspondence([1.0, 0.0], [0.0, 1.0]))
+    e1 = one_row(symmetric_epipolar_errors, [1.0, 0.0], [0.0, 1.0])
     # 4/1 + 4/1
-    e2 = symmetric_epipolar_error(f, Correspondence([2.0, 3.0], [4.0, 5.0]))
+    e2 = one_row(symmetric_epipolar_errors, [2.0, 3.0], [4.0, 5.0])
     exact = (
         abs(s1 - 0.5) <= 1e-12 * 0.5
         and abs(s2 - 2.0) <= 1e-12 * 2.0

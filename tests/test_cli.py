@@ -188,6 +188,15 @@ def _malformed_run(case, ws, tmp):
                     else {"groups": [{"prompt_id": "p0", "video_ids": "clean"}]})
         bad = _write_json(tmp / "groups.json", manifest)
         return ["pairs", "--scores", str(scores), "--groups", str(bad), "--output", out], bad
+    if case == "video_ids_holds_a_list":
+        bad = _write_json(tmp / "groups.json", {"groups": [{"prompt_id": "p", "video_ids": [["a"]]}]})
+        return ["rank", "--scores", str(scores), "--groups", str(bad), "--output", out], bad
+    if case == "scores_video_id_is_a_list":
+        header, records = read_jsonl(scores)
+        records[0]["video_id"] = ["a"]
+        bad = tmp / "bad_scores.jsonl"
+        write_jsonl(bad, records, header)
+        return ["rank", "--scores", str(bad), "--groups", str(groups), "--output", out], bad
     if case == "latent_items_not_a_list":
         bad = _write_json(tmp / "latents.json", {"items": 3})
         return ["dpo-demo", "--latents", str(bad), "--out", out], bad
@@ -232,6 +241,8 @@ def _malformed_run(case, ws, tmp):
     ("manifest_frames_not_a_list", "'frames'"),
     ("groups_not_a_list", "'groups'"),
     ("video_ids_not_a_list", "'video_ids'"),
+    ("video_ids_holds_a_list", "'video_ids'"),
+    ("scores_video_id_is_a_list", "'video_id'"),
     ("manifest_dir_not_a_string", "'dir'"),
     ("latent_items_not_a_list", "'items'"),
     ("scores_line_not_json", "line 3"),

@@ -1,0 +1,31 @@
+"""Smoke tests for the public surface: every demo runs and every exported name resolves."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import epigeo
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 3
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in epigeo.__all__ if not hasattr(epigeo, name)]
+    assert missing == []
+    assert len(set(epigeo.__all__)) == len(epigeo.__all__)

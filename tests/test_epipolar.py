@@ -2,24 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigeo import epipolar
 from epigeo.epipolar import (
     CameraMatrix,
-    Correspondence,
     DegenerateConfigurationError,
     EstimationFailedError,
     FundamentalMatrix,
     as_homogeneous,
+    correspondence_arrays,
     eight_point,
     epipole,
     fundamental_from_cameras,
     normalize_points,
     ransac_fundamental,
-    sampson_error,
     sampson_errors,
     skew,
-    symmetric_epipolar_error,
     symmetric_epipolar_errors,
 )
 
@@ -34,18 +34,26 @@ def residuals(f, xa, xb):
     return np.einsum("ij,jk,ik->i", hb, f.m if isinstance(f, FundamentalMatrix) else f, ha)
 
 
+def one_row(errors, f, x, xp):
+    """(value, flag) of a single correspondence x <-> xp as a one-row set."""
+    values, flagged = errors(f, [x], [xp])
+    assert values.shape == flagged.shape == (1,)
+    return float(values[0]), bool(flagged[0])
+
+
 class TestTypes:
     def test_correspondence_homogenizes_2d(self):
-        c = Correspondence([3.0, 4.0], [5.0, 6.0])
-        np.testing.assert_array_equal(c.x, [3, 4, 1])
+        a, b = correspondence_arrays(([[3.0, 4.0]], [[10.0, 12.0, 2.0]]))
+        np.testing.assert_array_equal(a, [[3, 4, 1]])
+        np.testing.assert_array_equal(b, [[5, 6, 1]])
 
     def test_correspondence_rejects_bad_z(self):
         with pytest.raises(ValueError):
-            Correspondence([1, 2, 2], [0, 0, 1])
+            correspondence_arrays(([[1, 2, 0]], [[0, 0, 1]]))
 
     def test_correspondence_rejects_nan(self):
         with pytest.raises(ValueError):
-            Correspondence([np.nan, 0, 1], [0, 0, 1])
+            correspondence_arrays(([[np.nan, 0, 1]], [[0, 0, 1]]))
 
     def test_fundamental_matrix_invariants(self):
         m = CANONICAL_F / np.linalg.norm(CANONICAL_F)
@@ -130,65 +138,56 @@ class TestEightPoint:
         with pytest.raises(DegenerateConfigurationError):
             eight_point((xa, xb))
 
-    def test_accepts_correspondence_list(self, rig_points):
-        _, _, xa, xb = rig_points
-        corrs = [Correspondence(a, b) for a, b in zip(xa, xb)]
-        f = eight_point(corrs)
-        assert np.abs(residuals(f, xa, xb)).max() < 1e-9
-
-    def test_accepts_n4_array(self, rig_points):
-        _, _, xa, xb = rig_points
-        f = eight_point(np.hstack([xa, xb]))
-        assert np.abs(residuals(f, xa, xb)).max() < 1e-9
-
 
 class TestSampsonError:
     def test_canonical_half(self):
         # numerator (x'^T F x)^2 = 1; denominator (Fx)_2^2 + (F^T x')_2^2 = 2
-        c = Correspondence([0.0, 0.0], [0.0, 1.0])
-        assert sampson_error(CANONICAL_F, c) == pytest.approx(0.5, abs=1e-15)
+        value, _ = one_row(sampson_errors, CANONICAL_F, [0.0, 0.0], [0.0, 1.0])
+        assert value == pytest.approx(0.5, abs=1e-15)
 
     def test_on_line_is_zero(self):
-        c = Correspondence([0.0, 0.0], [5.0, 0.0])  # x' on the line Fx = (0,-1,0)
-        assert sampson_error(CANONICAL_F, c) == 0.0
+        # x' on the line Fx = (0,-1,0)
+        assert one_row(sampson_errors, CANONICAL_F, [0.0, 0.0], [5.0, 0.0]) == (0.0, False)
 
     def test_scale_invariance(self):
-        c = Correspondence([0.0, 0.0], [0.0, 1.0])
-        assert sampson_error(2.0 * CANONICAL_F, c) == sampson_error(CANONICAL_F, c)
+        x, xp = [0.0, 0.0], [0.0, 1.0]
+        assert (one_row(sampson_errors, 2.0 * CANONICAL_F, x, xp)
+                == one_row(sampson_errors, CANONICAL_F, x, xp))
 
     def test_cap_and_flag_on_degenerate_denominator(self):
         # x at the right epipole and x' at the left epipole of this F
         f = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        c = Correspondence([0.0, 0.0], [0.0, 0.0])
-        value, flagged = sampson_error(f, c, with_flag=True)
+        value, flagged = one_row(sampson_errors, f, [0.0, 0.0], [0.0, 0.0])
         assert flagged and value == 1.0e6
 
     def test_batch_matches_scalar(self, rig_points):
+        # each row of a batch equals its one-row call
         cam_a, cam_b, xa, xb = rig_points
         f = fundamental_from_cameras(cam_a, cam_b)
         xb_noisy = xb + 0.7
-        values, flagged = sampson_errors(f, xa, xb_noisy)
-        assert not flagged.any()
-        for i in range(len(xa)):
-            c = Correspondence(xa[i], xb_noisy[i])
-            assert values[i] == pytest.approx(sampson_error(f, c), rel=1e-12)
+        for errors in (sampson_errors, symmetric_epipolar_errors):
+            values, flagged = errors(f, xa, xb_noisy)
+            assert not flagged.any()
+            for i in range(len(xa)):
+                value, flag = one_row(errors, f, xa[i], xb_noisy[i])
+                assert not flag
+                assert values[i] == pytest.approx(value, rel=1e-12)
 
 
 class TestSymmetricEpipolarError:
     def test_hand_value(self):
         # x=(1,0,1): line Fx=(0,-1,0), d(x',line)^2=1; line F^T x'=(0,0,1) is
         # degenerate for x'=(0,1,1), so use the finite pair from the scalar oracle
-        c = Correspondence([1.0, 0.0], [0.0, 1.0])
-        assert symmetric_epipolar_error(CANONICAL_F, c) == pytest.approx(2.0, abs=1e-15)
+        value, _ = one_row(symmetric_epipolar_errors, CANONICAL_F, [1.0, 0.0], [0.0, 1.0])
+        assert value == pytest.approx(2.0, abs=1e-15)
 
     def test_on_line_zero(self):
-        c = Correspondence([0.0, 0.0], [5.0, 0.0])
-        assert symmetric_epipolar_error(CANONICAL_F, c) == 0.0
+        assert one_row(symmetric_epipolar_errors, CANONICAL_F, [0.0, 0.0], [5.0, 0.0]) == (0.0, False)
 
     def test_degenerate_line_flagged(self):
         f = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        c = Correspondence([0.0, 0.0], [3.0, 4.0])  # x at epipole: F x = 0
-        value, flagged = symmetric_epipolar_error(f, c, with_flag=True)
+        # x at epipole: F x = 0
+        value, flagged = one_row(symmetric_epipolar_errors, f, [0.0, 0.0], [3.0, 4.0])
         assert flagged and value == 1.0e6
 
     def test_dominates_sampson_on_random_cases(self, rig):
@@ -355,3 +354,96 @@ class TestNoiseMonotonicity:
                 values, flagged = sampson_errors(f, xa, xb_n)
                 means.append(values[~flagged].mean())
             assert all(a < b for a, b in zip(means, means[1:])), (trial, means)
+
+
+def _malformed(case, xa, xb):
+    """A correspondence set (or a wrong container for one) broken one way."""
+    a, b = xa.copy(), xb.copy()
+    if case == "nan":
+        a[3, 0] = np.nan
+    elif case == "inf":
+        b[5, 1] = -np.inf
+    elif case == "z_zero":
+        a, b = as_homogeneous(a), as_homogeneous(b)
+        b[2, 2] = 0.0
+    elif case == "lengths_differ":
+        b = b[:-1]
+    elif case == "n_by_1":
+        a, b = a[:, :1], b[:, :1]
+    elif case == "n4_array":
+        return np.hstack([a, b])
+    elif case == "list_of_point_pairs":
+        return [(p, q) for p, q in zip(a, b)]
+    elif case == "list_of_two_arrays":
+        return [a, b]
+    else:
+        raise AssertionError(case)
+    return a, b
+
+
+def _call(entry, corr, f):
+    if entry in (eight_point, ransac_fundamental):
+        return entry(corr)
+    # the residual functions take the two sides as separate arguments; a
+    # wrong container arrives as both of them
+    return entry(f, *corr) if isinstance(corr, tuple) else entry(f, corr, corr)
+
+
+class TestPublicBoundary:
+    @pytest.mark.parametrize("case", [
+        "nan", "inf", "z_zero", "lengths_differ", "n_by_1",
+        "n4_array", "list_of_point_pairs", "list_of_two_arrays",
+    ])
+    @pytest.mark.parametrize("entry", [
+        eight_point, ransac_fundamental, sampson_errors, symmetric_epipolar_errors,
+    ], ids=lambda fn: fn.__name__)
+    def test_rejects_malformed_set(self, rig_points, entry, case):
+        cam_a, cam_b, xa, xb = rig_points
+        f = fundamental_from_cameras(cam_a, cam_b)
+        assert _call(entry, (xa, xb), f) is not None  # the unbroken set is accepted
+        with pytest.raises((ValueError, TypeError)):
+            _call(entry, _malformed(case, xa, xb), f)
+
+
+def _random_rig(rng):
+    return make_rig(angle=rng.uniform(-0.4, 0.4),
+                    center=rng.uniform((0.3, -0.5, -0.5), (1.5, 0.5, 0.5)))
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 3.0))
+    def test_pair_swap_symmetry(self, seed, sigma):
+        # x'^T F x = x^T F^T x', so swapping the sides and transposing F
+        # leaves every residual unchanged up to rounding
+        rng = np.random.default_rng(seed)
+        cam_a, cam_b = _random_rig(rng)
+        xa, xb, _ = project_box(cam_a, cam_b, 50, seed=seed)
+        xb = xb + rng.normal(0.0, sigma, xb.shape)
+        f = fundamental_from_cameras(cam_a, cam_b).m
+        for errors in (sampson_errors, symmetric_epipolar_errors):
+            values_ab, flagged_ab = errors(f, xa, xb)
+            values_ba, flagged_ba = errors(f.T, xb, xa)
+            assert np.array_equal(flagged_ab, flagged_ba)
+            np.testing.assert_allclose(values_ba, values_ab, rtol=1e-8, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), angle=st.floats(-np.pi, np.pi),
+           scale=st.floats(0.2, 5.0), tx=st.floats(-1000.0, 1000.0),
+           ty=st.floats(-1000.0, 1000.0))
+    def test_eight_point_similarity_invariance(self, seed, angle, scale, tx, ty):
+        # Hartley normalization makes the estimate covariant with a
+        # similarity T of the pixel frame: F' = T^-T F T^-1
+        rng = np.random.default_rng(seed)
+        cam_a, cam_b = _random_rig(rng)
+        xa, xb, _ = project_box(cam_a, cam_b, 30, seed=seed)
+        xb = xb + rng.normal(0.0, 0.5, xb.shape)
+        c, s = scale * np.cos(angle), scale * np.sin(angle)
+        t = np.array([[c, -s, tx], [s, c, ty], [0.0, 0.0, 1.0]])
+        moved_a = as_homogeneous(xa) @ t.T
+        moved_b = as_homogeneous(xb) @ t.T
+        f = eight_point((xa, xb)).m
+        t_inv = np.linalg.inv(t)
+        expected = epipolar._canonicalize((t_inv.T @ f @ t_inv)[None])[0]
+        moved_f = eight_point((moved_a[:, :2], moved_b[:, :2])).m
+        np.testing.assert_allclose(moved_f, expected, rtol=0, atol=1e-9)

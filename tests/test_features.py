@@ -317,15 +317,55 @@ def random_unit_descriptors(n, seed):
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+def reference_matches(desc_a, desc_b, ratio_threshold=0.8, mutual=True):
+    """The per-query loop match_descriptors replaced, kept as its reference.
+
+    Returns (pairs, distances, ratios): an (M, 2) array of (index_a, index_b)
+    rows and each match's best distance and ratio.
+    """
+    a = np.asarray(desc_a, dtype=np.float64)
+    b = np.asarray(desc_b, dtype=np.float64)
+    if a.size == 0 or b.size == 0:
+        return np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0)
+    d2 = np.maximum(
+        (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T),
+        0.0,
+    )
+    nearest = d2.argmin(axis=1)
+    best = np.linalg.norm(a - b[nearest], axis=1)
+    if b.shape[0] >= 2:
+        masked = d2.copy()
+        masked[np.arange(len(a)), nearest] = np.inf
+        second = np.sqrt(masked.min(axis=1))
+    else:
+        second = None
+    if mutual:
+        reverse = d2.argmin(axis=0)
+    rows = []
+    for i in range(len(a)):
+        j = int(nearest[i])
+        if second is None:
+            ratio = 0.0
+        elif second[i] > 0:
+            ratio = float(best[i] / second[i])
+        else:
+            ratio = 0.0  # best and second both exact: treat as unambiguous
+        if ratio >= ratio_threshold:
+            continue
+        if mutual and int(reverse[j]) != i:
+            continue
+        rows.append((i, j, float(best[i]), ratio))
+    pairs = np.array([r[:2] for r in rows], dtype=np.intp).reshape(-1, 2)
+    return pairs, np.array([r[2] for r in rows]), np.array([r[3] for r in rows])
+
+
 class TestMatchDescriptors:
     def test_identity_matching(self):
         d = random_unit_descriptors(20, 1)
-        matches = match_descriptors(d, d, ratio_threshold=0.8, mutual=True)
-        assert len(matches) == 20
-        for m in matches:
-            assert m.index_a == m.index_b
-            assert m.distance == 0.0
-            assert m.ratio == 0.0
+        # every best distance is exact, so every ratio is 0 and passes any threshold
+        pairs = match_descriptors(d, d, ratio_threshold=1e-9, mutual=True)
+        assert pairs.dtype == np.intp
+        assert np.array_equal(pairs, np.column_stack([np.arange(20), np.arange(20)]))
 
     def test_noisy_identity_95_percent(self):
         a = random_unit_descriptors(100, 2)
@@ -333,40 +373,47 @@ class TestMatchDescriptors:
         b = a + rng.normal(0, 0.01, a.shape)
         b = np.abs(b)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        matches = match_descriptors(a, b, ratio_threshold=0.8, mutual=False)
-        correct = sum(1 for m in matches if m.index_a == m.index_b)
+        pairs = match_descriptors(a, b, ratio_threshold=0.8, mutual=False)
+        correct = int(np.count_nonzero(pairs[:, 0] == pairs[:, 1]))
         assert correct >= 95
 
     def test_single_pair_ratio_zero(self):
         a = random_unit_descriptors(1, 4)
         b = random_unit_descriptors(1, 5)
-        matches = match_descriptors(a, b, ratio_threshold=0.8)
-        assert len(matches) == 1
-        assert matches[0].ratio == 0.0
+        # with no second neighbor the ratio is 0 and passes any threshold
+        pairs = match_descriptors(a, b, ratio_threshold=1e-9)
+        assert np.array_equal(pairs, [[0, 0]])
 
     def test_empty_sides(self):
         d = random_unit_descriptors(3, 6)
-        assert match_descriptors(np.empty((0, 128)), d) == []
-        assert match_descriptors(d, np.empty((0, 128))) == []
+        for pairs in (match_descriptors(np.empty((0, 128)), d),
+                      match_descriptors(d, np.empty((0, 128)))):
+            assert pairs.shape == (0, 2) and pairs.dtype == np.intp
 
     def test_ratio_one_no_mutual_is_nearest_neighbor(self):
         a = random_unit_descriptors(30, 7)
         b = random_unit_descriptors(50, 8)
-        matches = match_descriptors(a, b, ratio_threshold=1.0, mutual=False)
-        assert len(matches) == 30
+        pairs = match_descriptors(a, b, ratio_threshold=1.0, mutual=False)
+        assert len(pairs) == 30
 
     def test_all_matches_respect_threshold(self):
         a = random_unit_descriptors(50, 9)
         b = random_unit_descriptors(50, 10)
+        dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        second = np.sort(dist, axis=1)[:, 1]
+        total = 0
         for thr in (0.6, 0.8, 0.95):
-            for m in match_descriptors(a, b, ratio_threshold=thr, mutual=False):
-                assert m.ratio < thr
+            pairs = match_descriptors(a, b, ratio_threshold=thr, mutual=False)
+            ratios = dist[pairs[:, 0], pairs[:, 1]] / second[pairs[:, 0]]
+            assert np.all(ratios < thr)
+            total += len(pairs)
+        assert total > 0
 
     def test_mutual_filter_subset(self):
         a = random_unit_descriptors(40, 11)
         b = random_unit_descriptors(40, 12)
-        loose = {(m.index_a, m.index_b) for m in match_descriptors(a, b, 0.95, mutual=False)}
-        strict = {(m.index_a, m.index_b) for m in match_descriptors(a, b, 0.95, mutual=True)}
+        loose = {tuple(p) for p in match_descriptors(a, b, 0.95, mutual=False)}
+        strict = {tuple(p) for p in match_descriptors(a, b, 0.95, mutual=True)}
         assert strict <= loose
 
     def test_bad_threshold(self):
@@ -375,6 +422,27 @@ class TestMatchDescriptors:
             match_descriptors(d, d, ratio_threshold=0.0)
         with pytest.raises(ValueError):
             match_descriptors(d, d, ratio_threshold=1.5)
+
+
+class TestMatchAgainstReference:
+    @pytest.mark.parametrize("mutual", [True, False])
+    @pytest.mark.parametrize("threshold", [0.6, 0.8, 1.0])
+    def test_equals_reference_loop(self, threshold, mutual):
+        rng = np.random.default_rng(int(threshold * 10) + 100 * mutual)
+        sizes = [(0, 5), (5, 0), (1, 1), (1, 7), (7, 1), (2, 2), (40, 60), (300, 200)]
+        sizes += [tuple(rng.integers(1, 120, size=2)) for _ in range(12)]
+        for k, (n_a, n_b) in enumerate(sizes):
+            a = random_unit_descriptors(n_a, 1000 + k)
+            b = random_unit_descriptors(n_b, 2000 + k)
+            if n_a and n_b and k % 2:
+                # duplicate rows in b (best and second distances tie) and
+                # queries equal to some of them (distance exactly 0)
+                b[rng.integers(0, n_b, size=n_b // 3 + 1)] = b[0]
+                a[: max(1, n_a // 4)] = b[0]
+            expected, _, _ = reference_matches(a, b, threshold, mutual)
+            pairs = match_descriptors(a, b, threshold, mutual)
+            assert pairs.dtype == np.intp and pairs.shape == expected.shape
+            assert np.array_equal(pairs, expected), (n_a, n_b)
 
 
 class TestFeatureParams:
@@ -418,6 +486,9 @@ class TestExtractAndCache:
         _, frame = dot_grid(n=30, size=192, spacing=24)
         params = FeatureParams(octaves=3)
         feats = extract_features(frame, params)
-        pa, pb, matches = match_frames(feats, feats, params)
-        assert len(pa) == len(matches) == len(pb)
-        assert all(m.index_a == m.index_b for m in matches)
+        pa, pb, pairs = match_frames(feats, feats, params)
+        assert len(pa) == len(pairs) == len(pb) > 0
+        assert np.array_equal(pairs[:, 0], pairs[:, 1])
+        positions = np.array([[kp.x, kp.y] for kp in feats.keypoints])
+        assert np.array_equal(pa, positions[pairs[:, 0]])
+        assert np.array_equal(pb, positions[pairs[:, 1]])

@@ -43,7 +43,7 @@ print("time weight at t in {0, 0.5, 1}:",
 # Train.  Full-batch gradient descent on the preference loss plus the
 # temporal-variance penalty (weight 0.001) applied to the winner branch.
 
-model, trace = toy_train(items, ref, steps=200, learning_rate=1e-3, seed=0)
+model, trace = toy_train(items, ref, steps=200, learning_rate=1e-3)
 print(f"loss {trace[0]:.4f} -> {trace[-1]:.4f} over {len(trace) - 1} steps")
 
 margin_before = mean_reward_margin(items, ref, ref)

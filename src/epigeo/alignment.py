@@ -343,7 +343,6 @@ def toy_train(
     learning_rate: float = 1e-3,
     beta: float = DEFAULT_BETA,
     lam: float = DEFAULT_LAMBDA,
-    seed: int = 0,
     penalty_branch: str = DEFAULT_PENALTY_BRANCH,
     clean_mode: str = DEFAULT_CLEAN_MODE,
 ):
@@ -359,7 +358,6 @@ def toy_train(
         raise ValueError("need at least one training item")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    del seed  # randomness-free: full batch, deterministic init
     model = model_ref.copy()
     params = model.parameters
     dim = model.dim

@@ -491,7 +491,6 @@ def cmd_dpo_demo(args) -> int:
         learning_rate=args.lr,
         beta=config.beta,
         lam=config.lam,
-        seed=config.seed,
         penalty_branch=config.penalty_branch,
         clean_mode=config.clean_mode,
     )

@@ -52,7 +52,7 @@ class GenerationGroup:
         if len(set(ids)) != len(ids):
             raise ValueError("video ids within a group must be distinct")
         for vid, score in members:
-            if vid != score.video_id:
+            if vid != str(score.video_id):
                 raise ValueError(f"member id {vid!r} does not match its score's video_id")
         hashes = {score.config_hash for _, score in members}
         if len(hashes) > 1:

@@ -155,6 +155,8 @@ def _f_matrix(f) -> np.ndarray:
     m = np.asarray(f, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     return m
 
 

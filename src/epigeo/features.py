@@ -7,7 +7,10 @@ orientation assignment, and 4x4x8 gradient descriptors over a rotated
 16x16 sample window. Matching is Lowe's ratio test with an optional
 mutual-consistency filter.
 
-A match set is an (M, 2) integer array of (index_a, index_b) rows.
+A keypoint set is an (N,) array of KEYPOINT_DTYPE, one row per keypoint,
+from detection through descriptors to matching; compute_descriptors rejects
+any other form. A match set is an (M, 2) integer array of (index_a, index_b)
+rows into two frames' keypoint sets.
 """
 
 from __future__ import annotations
@@ -61,27 +64,26 @@ class FeatureParams:
             raise ValueError("max_dim must be None or >= 16")
 
 
-@dataclass
-class Keypoint:
-    """Detected scale-space extremum in original-image pixel coordinates."""
-
-    x: float
-    y: float
-    scale: float               # absolute sigma of the detection level, px
-    orientation: float         # radians in [0, 2pi)
-    response: float            # refined DoG contrast magnitude
-    octave: int = 0
-    level: int = 0
-    x_octave: float = 0.0      # subpixel position in octave sampling
-    y_octave: float = 0.0
-    sigma_local: float = 0.0   # sigma in octave sampling units
+# one detected scale-space extremum; x, y and scale in original-image pixels
+KEYPOINT_DTYPE = np.dtype([
+    ("x", np.float64),
+    ("y", np.float64),
+    ("scale", np.float64),        # absolute sigma of the detection level, px
+    ("orientation", np.float64),  # radians in [0, 2pi)
+    ("response", np.float64),     # refined DoG contrast magnitude
+    ("octave", np.intp),
+    ("level", np.intp),
+    ("x_octave", np.float64),     # subpixel position in octave sampling
+    ("y_octave", np.float64),
+    ("sigma_local", np.float64),  # sigma in octave sampling units
+])
 
 
 @dataclass
 class FrameFeatures:
-    """Keypoints with their descriptors; rows of `descriptors` align with keypoints."""
+    """Described keypoints: row i of `descriptors` belongs to keypoints[i]."""
 
-    keypoints: list
+    keypoints: np.ndarray      # (N,) KEYPOINT_DTYPE
     descriptors: np.ndarray    # (N, 128) float64, unit L2 rows
     skipped: int = 0
 
@@ -264,16 +266,16 @@ def detect_keypoints(
     contrast_threshold: float = 0.03,
     edge_ratio_threshold: float = 10.0,
     max_keypoints: int = 2000,
-) -> list:
+) -> np.ndarray:
     """DoG extrema with subpixel refinement, contrast/edge gates, orientations.
 
-    Keypoints are returned in descending-response order, at most
-    max_keypoints of them. An empty list is a valid result.
+    Returns an (N,) KEYPOINT_DTYPE array in stable descending-response order,
+    at most max_keypoints rows. An empty array is a valid result.
     """
     r = edge_ratio_threshold
     edge_limit = (r + 1.0) ** 2 / r
     grad_cache = {}
-    keypoints = []
+    rows = []
     for o in range(pyramid.octaves):
         stack = np.stack(pyramid.dogs[o])
         n_layers, height, width = stack.shape
@@ -299,29 +301,15 @@ def detect_keypoints(
             y_img = y_oct * 2**o
             if not (0 <= x_img < pyramid.width and 0 <= y_img < pyramid.height):
                 continue
-            sigma_local = pyramid.base_sigma * 2.0 ** (
-                (s0 + offset[0]) / pyramid.scales_per_octave
-            )
+            sigma_local = pyramid.sigma_local(s0 + offset[0])
             if (o, s0) not in grad_cache:
                 grad_cache[o, s0] = _gradients(pyramid.gaussians[o][s0])
             gx, gy = grad_cache[o, s0]
             for theta in _orientations(gx, gy, x_oct, y_oct, sigma_local):
-                keypoints.append(
-                    Keypoint(
-                        x=float(x_img),
-                        y=float(y_img),
-                        scale=float(sigma_local * 2**o),
-                        orientation=float(theta),
-                        response=float(abs(value)),
-                        octave=o,
-                        level=s0,
-                        x_octave=float(x_oct),
-                        y_octave=float(y_oct),
-                        sigma_local=float(sigma_local),
-                    )
-                )
-    order = np.argsort([-kp.response for kp in keypoints], kind="stable")
-    return [keypoints[i] for i in order[:max_keypoints]]
+                rows.append((x_img, y_img, sigma_local * 2**o, theta, abs(value),
+                             o, s0, x_oct, y_oct, sigma_local))
+    rows = np.array(rows, dtype=KEYPOINT_DTYPE)
+    return rows[np.argsort(-rows["response"], kind="stable")[:max_keypoints]]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +374,7 @@ _SPATIAL_CORNERS = _spatial_corners()
 
 
 def _describe_block(gx, gy, kps):
-    """Descriptors of keypoints sharing one gradient image.
+    """Descriptors of keypoints (a KEYPOINT_DTYPE array) sharing one gradient image.
 
     Returns (kept, rows): a mask over `kps` of those whose sample window fits
     the image and whose histogram is not empty, and their (kept.sum(), 128)
@@ -396,13 +384,13 @@ def _describe_block(gx, gy, kps):
     to describing the keypoints one at a time.
     """
     height, width = gx.shape
-    theta = np.array([kp.orientation for kp in kps])[:, None]
-    spacing = DESC_SAMPLE_SPACING * np.array([kp.sigma_local for kp in kps])[:, None]
+    theta = kps["orientation"][:, None]
+    spacing = DESC_SAMPLE_SPACING * kps["sigma_local"][:, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     u = _DESC_UU.ravel() * spacing
     v = _DESC_VV.ravel() * spacing
-    sx = np.array([kp.x_octave for kp in kps])[:, None] + cos_t * u - sin_t * v
-    sy = np.array([kp.y_octave for kp in kps])[:, None] + sin_t * u + cos_t * v
+    sx = kps["x_octave"][:, None] + cos_t * u - sin_t * v
+    sy = kps["y_octave"][:, None] + sin_t * u + cos_t * v
     inside = (
         (sx.min(axis=1) >= 0) & (sy.min(axis=1) >= 0)
         & (sx.max(axis=1) < width - 1) & (sy.max(axis=1) < height - 1)
@@ -441,27 +429,33 @@ def _describe_block(gx, gy, kps):
     return kept, clipped
 
 
-def compute_descriptors(pyramid: ScaleSpace, keypoints):
+def compute_descriptors(pyramid: ScaleSpace, keypoints: np.ndarray) -> FrameFeatures:
     """Descriptors for keypoints whose sample window fits their octave image.
 
+    `keypoints` must be an (N,) KEYPOINT_DTYPE array; anything else is a
+    TypeError, and an octave or level the pyramid lacks is a ValueError.
     Returns FrameFeatures: kept keypoints in input order, their (N, 128)
     descriptor rows, and the count of keypoints skipped because the window
     left the image (or, degenerately, held no gradient).
     """
-    by_level = {}
-    for i, kp in enumerate(keypoints):
-        by_level.setdefault((kp.octave, kp.level), []).append(i)
+    if not (isinstance(keypoints, np.ndarray) and keypoints.dtype == KEYPOINT_DTYPE
+            and keypoints.ndim == 1):
+        raise TypeError("keypoints must be a 1-D KEYPOINT_DTYPE array")
+    octave, level = keypoints["octave"], keypoints["level"]
+    if np.any((octave < 0) | (octave >= pyramid.octaves) | (level < 0)
+              | (level >= len(pyramid.gaussians[0]))):
+        raise ValueError("keypoint octave or level lies outside the pyramid")
     kept = np.zeros(len(keypoints), dtype=bool)
     desc = np.empty((len(keypoints), DESC_SIZE))
-    for (o, s), members in by_level.items():
+    for o, s in np.unique(np.column_stack([octave, level]), axis=0):
         gx, gy = _gradients(pyramid.gaussians[o][s])
+        members = np.flatnonzero((octave == o) & (level == s))
         for start in range(0, len(members), DESC_BLOCK_KEYPOINTS):
-            block = np.array(members[start : start + DESC_BLOCK_KEYPOINTS])
-            ok, rows = _describe_block(gx, gy, [keypoints[i] for i in block])
+            block = members[start : start + DESC_BLOCK_KEYPOINTS]
+            ok, rows = _describe_block(gx, gy, keypoints[block])
             kept[block[ok]] = True
             desc[block[ok]] = rows
-    kps = [kp for kp, k in zip(keypoints, kept) if k]
-    return FrameFeatures(kps, desc[kept], len(keypoints) - len(kps))
+    return FrameFeatures(keypoints[kept], desc[kept], len(keypoints) - int(kept.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -527,25 +521,21 @@ def extract_features(frame: Frame, params: FeatureParams | None = None) -> Frame
     feats = compute_descriptors(pyramid, kps)
     if scale != 1.0:
         # report positions in original-frame pixels
-        for kp in feats.keypoints:
-            kp.x /= scale
-            kp.y /= scale
-            kp.scale /= scale
+        for field in ("x", "y", "scale"):
+            feats.keypoints[field] /= scale
     return feats
-
-
-def _positions(feats: FrameFeatures) -> np.ndarray:
-    return np.array([(kp.x, kp.y) for kp in feats.keypoints], dtype=np.float64).reshape(-1, 2)
 
 
 def match_frames(feats_a: FrameFeatures, feats_b: FrameFeatures, params: FeatureParams | None = None):
     """Ratio-test matching of two frames' features; returns (points_a, points_b, pairs).
 
     pairs is the (M, 2) index array of match_descriptors; row k of points_a
-    and points_b holds the pixel positions of the keypoints of pairs[k].
+    and points_b holds the pixel positions (x, y) of the keypoints of pairs[k].
     """
     params = params or FeatureParams()
     pairs = match_descriptors(
         feats_a.descriptors, feats_b.descriptors, params.ratio_threshold, params.mutual
     )
-    return _positions(feats_a)[pairs[:, 0]], _positions(feats_b)[pairs[:, 1]], pairs
+    a = feats_a.keypoints[pairs[:, 0]]
+    b = feats_b.keypoints[pairs[:, 1]]
+    return np.column_stack([a["x"], a["y"]]), np.column_stack([b["x"], b["y"]]), pairs

@@ -357,7 +357,7 @@ def test_criterion_09_toy_alignment_effect():
     margin0 = mean_reward_margin(items, ref, ref, beta=1.0)
     var0 = mean_winner_variance(items, ref)
 
-    model, trace = toy_train(items, ref, steps=200, learning_rate=1e-3, seed=0)
+    model, trace = toy_train(items, ref, steps=200, learning_rate=1e-3)
     margin1 = mean_reward_margin(items, model, ref, beta=1.0)
     var1 = mean_winner_variance(items, model)
     dt = time.monotonic() - t0

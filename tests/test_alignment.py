@@ -351,7 +351,7 @@ def test_toy_train_improves_margin_and_keeps_motion():
     ref = LinearVelocityModel.zeros(4)
     margin0 = mean_reward_margin(items, ref, ref)
     var0 = mean_winner_variance(items, ref)
-    model, trace = toy_train(items, ref, steps=100, learning_rate=1e-3, seed=0)
+    model, trace = toy_train(items, ref, steps=100, learning_rate=1e-3)
     assert margin0 == 0.0
     assert mean_reward_margin(items, model, ref) > margin0
     assert mean_winner_variance(items, model) > 0.5 * var0
@@ -370,8 +370,8 @@ def test_toy_train_zero_rate_constant_trace():
 def test_toy_train_deterministic():
     items = synthetic_preference_items(4, 4, 3, seed=2)
     ref = LinearVelocityModel.zeros(3)
-    m1, t1 = toy_train(items, ref, steps=20, learning_rate=1e-3, seed=0)
-    m2, t2 = toy_train(items, ref, steps=20, learning_rate=1e-3, seed=0)
+    m1, t1 = toy_train(items, ref, steps=20, learning_rate=1e-3)
+    m2, t2 = toy_train(items, ref, steps=20, learning_rate=1e-3)
     assert t1 == t2
     assert np.array_equal(m1.parameters, m2.parameters)
 
@@ -380,7 +380,7 @@ def test_toy_train_divergence_raises():
     items = synthetic_preference_items(4, 6, 4, seed=0)
     ref = LinearVelocityModel.zeros(4)
     with pytest.raises(RuntimeError, match="diverged"):
-        toy_train(items, ref, steps=40, learning_rate=1e4, seed=0)
+        toy_train(items, ref, steps=40, learning_rate=1e4)
 
 
 def test_toy_train_validation():

@@ -461,6 +461,31 @@ def test_rank_unscored_video_is_fatal(workspace, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_rank_and_pairs_accept_numeric_ids(workspace, tmp_path):
+    # a manifest id may be a JSON number, and `score` writes it back as one
+    numeric = {"clean": 1, "shaky": 2, "static": 3}
+    header, records = read_jsonl(workspace / "scores.jsonl")
+    for rec in records:
+        rec["video_id"] = numeric[rec["video_id"]]
+    write_jsonl(tmp_path / "scores.jsonl", records, header)
+    _write_json(tmp_path / "groups.json", {"groups": [
+        {"prompt_id": "p0", "video_ids": [1, 2]},
+        {"prompt_id": "p1", "video_ids": [1, 3]},
+    ]})
+    inputs = ["--scores", str(tmp_path / "scores.jsonl"), "--groups", str(tmp_path / "groups.json")]
+
+    assert main(["rank", *inputs, "--output", str(tmp_path / "ranking.jsonl")]) == EXIT_PARTIAL
+    _, ranking = read_jsonl(tmp_path / "ranking.jsonl")
+    by_prompt = {rec["prompt_id"]: rec for rec in ranking}
+    assert by_prompt["p0"]["ranking"] == ["1", "2"]
+    assert by_prompt["p1"]["skipped"] == "too_few_unflagged"
+
+    assert main(["pairs", *inputs, "--output", str(tmp_path / "pairs.jsonl"),
+                 "--tau", "1e-9"]) == EXIT_OK
+    _, pairs = read_jsonl(tmp_path / "pairs.jsonl")
+    assert [(p["winner_id"], p["loser_id"]) for p in pairs] == [("1", "2")]
+
+
 # ---------------------------------------------------------------------- pairs
 
 def test_pairs_emits_winner_loser(workspace, tmp_path):

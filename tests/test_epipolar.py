@@ -404,6 +404,22 @@ class TestPublicBoundary:
         with pytest.raises((ValueError, TypeError)):
             _call(entry, _malformed(case, xa, xb), f)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [
+        sampson_errors, symmetric_epipolar_errors, epipole,
+    ], ids=lambda fn: fn.__name__)
+    def test_rejects_non_finite_f(self, rig_points, entry, value):
+        cam_a, cam_b, xa, xb = rig_points
+        f = fundamental_from_cameras(cam_a, cam_b).m.copy()
+
+        def call(m):
+            return entry(m) if entry is epipole else entry(m, xa, xb)
+
+        assert call(f) is not None  # the unbroken matrix is accepted
+        f[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            call(f)
+
 
 def _random_rig(rng):
     return make_rig(angle=rng.uniform(-0.4, 0.4),

@@ -6,8 +6,8 @@ import pytest
 from epigeo import features
 from epigeo.features import (
     DESC_BLOCK_KEYPOINTS,
+    KEYPOINT_DTYPE,
     FeatureParams,
-    Keypoint,
     build_scale_space,
     compute_descriptors,
     detect_keypoints,
@@ -15,7 +15,7 @@ from epigeo.features import (
     match_descriptors,
     match_frames,
 )
-from epigeo.image import Frame
+from epigeo.image import Frame, resize_max_dim
 from epigeo.synth import render_dots
 
 
@@ -32,6 +32,19 @@ def dot_grid(n=50, size=256, spacing=28, jitter=4.0, seed=5, dot_sigma=3.0, tex=
         texture_amplitude=tex,
     )
     return centers, frame
+
+
+def keypoint_array(**fields):
+    """A KEYPOINT_DTYPE array from equal-length field values; absent fields are 0."""
+    n = len(np.atleast_1d(next(iter(fields.values()))))
+    kps = np.zeros(n, dtype=KEYPOINT_DTYPE)
+    for name, values in fields.items():
+        kps[name] = values
+    return kps
+
+
+def positions(kps):
+    return np.column_stack([kps["x"], kps["y"]])
 
 
 class TestBuildScaleSpace:
@@ -102,16 +115,16 @@ class TestBuildScaleSpace:
 class TestDetectKeypoints:
     def test_constant_image_empty(self):
         pyr = build_scale_space(Frame(np.full((256, 256), 0.3)), octaves=3)
-        assert detect_keypoints(pyr) == []
+        kps = detect_keypoints(pyr)
+        assert kps.dtype == KEYPOINT_DTYPE and kps.shape == (0,)
 
     def test_dot_grid_recall(self):
         centers, frame = dot_grid(n=50)
         pyr = build_scale_space(frame, octaves=3)
-        kps = detect_keypoints(pyr)
-        positions = np.array([[kp.x, kp.y] for kp in kps])
+        pos = positions(detect_keypoints(pyr))
         hits = 0
         for c in centers:
-            d = np.linalg.norm(positions - c, axis=1)
+            d = np.linalg.norm(pos - c, axis=1)
             if d.min() <= 1.5:
                 hits += 1
         assert hits >= 40
@@ -119,19 +132,21 @@ class TestDetectKeypoints:
     def test_keypoint_invariants(self):
         _, frame = dot_grid(n=50)
         pyr = build_scale_space(frame, octaves=3)
-        for kp in detect_keypoints(pyr, contrast_threshold=0.03):
-            assert 0 <= kp.x < frame.width and 0 <= kp.y < frame.height
-            assert kp.scale > 0
-            assert kp.response > 0.03
-            assert 0 <= kp.orientation < 2 * np.pi
+        kps = detect_keypoints(pyr, contrast_threshold=0.03)
+        assert len(kps) > 0
+        assert np.all((0 <= kps["x"]) & (kps["x"] < frame.width))
+        assert np.all((0 <= kps["y"]) & (kps["y"] < frame.height))
+        assert np.all(kps["scale"] > 0)
+        assert np.all(kps["response"] > 0.03)
+        assert np.all((0 <= kps["orientation"]) & (kps["orientation"] < 2 * np.pi))
 
     def test_step_edge_rejected(self):
         img = np.zeros((256, 256))
         img[:, 128:] = 1.0
         pyr = build_scale_space(Frame(img), octaves=3)
         kps = detect_keypoints(pyr, edge_ratio_threshold=10.0)
-        on_edge = [kp for kp in kps if abs(kp.x - 128) < 6 and 20 < kp.y < 236]
-        assert on_edge == []
+        on_edge = (np.abs(kps["x"] - 128) < 6) & (20 < kps["y"]) & (kps["y"] < 236)
+        assert not on_edge.any()
 
     def test_max_keypoints_cap(self):
         _, frame = dot_grid(n=50)
@@ -139,8 +154,7 @@ class TestDetectKeypoints:
         kps = detect_keypoints(pyr, max_keypoints=10)
         assert len(kps) == 10
         full = detect_keypoints(pyr, max_keypoints=100000)
-        top = sorted(full, key=lambda k: -k.response)[:10]
-        assert [k.response for k in kps] == [k.response for k in top]
+        assert np.array_equal(kps["response"], np.sort(full["response"])[::-1][:10])
 
     def test_translation_equivariance(self):
         centers, frame = dot_grid(n=25, size=256, spacing=40, seed=8)
@@ -148,12 +162,12 @@ class TestDetectKeypoints:
         rolled = Frame(np.roll(frame.pixels, shift, axis=(0, 1)))
         kps_a = detect_keypoints(build_scale_space(frame, octaves=3))
         kps_b = detect_keypoints(build_scale_space(rolled, octaves=3))
-        pos_b = np.array([[kp.x, kp.y] for kp in kps_b])
+        pos_b = positions(kps_b)
         margin = 40
         checked = 0
-        for kp in kps_a:
-            tx, ty = kp.x + shift[1], kp.y + shift[0]
-            if not (margin < kp.x < 256 - margin and margin < kp.y < 256 - margin):
+        for x, y in positions(kps_a):
+            tx, ty = x + shift[1], y + shift[0]
+            if not (margin < x < 256 - margin and margin < y < 256 - margin):
                 continue
             if not (margin < tx < 256 - margin and margin < ty < 256 - margin):
                 continue
@@ -186,15 +200,15 @@ class TestComputeDescriptors:
         size = 256
         compared = 0
         for kp, desc in list(zip(feats.keypoints, feats.descriptors))[:40]:
-            oct_size = size // 2**kp.octave
-            kp_r = Keypoint(
-                x=kp.y, y=size - 1 - kp.x, scale=kp.scale,
-                orientation=(kp.orientation - np.pi / 2) % (2 * np.pi),
-                response=kp.response, octave=kp.octave, level=kp.level,
-                x_octave=kp.y_octave, y_octave=oct_size - 1 - kp.x_octave,
-                sigma_local=kp.sigma_local,
+            oct_size = size // 2 ** kp["octave"]
+            kp_r = keypoint_array(
+                x=kp["y"], y=size - 1 - kp["x"], scale=kp["scale"],
+                orientation=(kp["orientation"] - np.pi / 2) % (2 * np.pi),
+                response=kp["response"], octave=kp["octave"], level=kp["level"],
+                x_octave=kp["y_octave"], y_octave=oct_size - 1 - kp["x_octave"],
+                sigma_local=kp["sigma_local"],
             )
-            out = compute_descriptors(pyr_r, [kp_r])
+            out = compute_descriptors(pyr_r, kp_r)
             if len(out.descriptors):
                 assert np.linalg.norm(desc - out.descriptors[0]) < 0.15
                 compared += 1
@@ -203,9 +217,9 @@ class TestComputeDescriptors:
     def test_uniform_gradient_single_bin_per_cell(self):
         ramp = np.tile(np.linspace(0.0, 1.0, 64), (64, 1))
         pyr = build_scale_space(Frame(ramp), octaves=1)
-        kp = Keypoint(x=32, y=32, scale=1.6, orientation=0.0, response=1.0,
-                      octave=0, level=1, x_octave=32, y_octave=32, sigma_local=1.6)
-        feats = compute_descriptors(pyr, [kp])
+        kp = keypoint_array(x=32, y=32, scale=1.6, response=1.0, level=1,
+                            x_octave=32, y_octave=32, sigma_local=1.6)
+        feats = compute_descriptors(pyr, kp)
         d = feats.descriptors[0].reshape(4, 4, 8)
         assert (d.argmax(axis=2) == 0).all()
         assert d[:, :, 1:].sum() < 1e-9
@@ -213,28 +227,118 @@ class TestComputeDescriptors:
     def test_window_off_image_skipped(self):
         _, frame = dot_grid(n=50)
         pyr = build_scale_space(frame, octaves=1)
-        kp = Keypoint(x=1.0, y=1.0, scale=1.6, orientation=0.0, response=1.0,
-                      octave=0, level=1, x_octave=1.0, y_octave=1.0, sigma_local=1.6)
-        feats = compute_descriptors(pyr, [kp])
+        kp = keypoint_array(x=1.0, y=1.0, scale=1.6, response=1.0, level=1,
+                            x_octave=1.0, y_octave=1.0, sigma_local=1.6)
+        feats = compute_descriptors(pyr, kp)
         assert feats.skipped == 1
         assert len(feats.keypoints) == 0
+
+
+class TestKeypointArray:
+    """The one keypoint form: an (N,) KEYPOINT_DTYPE array from detection on."""
+
+    @pytest.fixture(scope="class")
+    def detected(self):
+        # dots big enough to be detected on octaves 1 and 2
+        _, frame = dot_grid(n=50, dot_sigma=5.0)
+        pyr = build_scale_space(frame, octaves=3)
+        return pyr, detect_keypoints(pyr, max_keypoints=100000)
+
+    def test_dtype(self, detected):
+        pyr, kps = detected
+        assert kps.dtype == KEYPOINT_DTYPE and kps.ndim == 1
+        assert compute_descriptors(pyr, kps).keypoints.dtype == KEYPOINT_DTYPE
+
+    def test_stable_descending_response(self, detected, monkeypatch):
+        pyr, kps = detected
+        # record the rows in detection order: one per orientation returned
+        seen = []
+        orientations = features._orientations
+
+        def recording(gx, gy, x, y, sigma_local):
+            thetas = orientations(gx, gy, x, y, sigma_local)
+            seen.extend((float(x), float(y), float(sigma_local), t) for t in thetas)
+            return thetas
+
+        monkeypatch.setattr(features, "_orientations", recording)
+        assert np.array_equal(detect_keypoints(pyr, max_keypoints=100000), kps)
+        slots = {}
+        for i, key in enumerate(seen):
+            slots.setdefault(key, []).append(i)
+        keys = zip(*(kps[f].tolist() for f in ("x_octave", "y_octave", "sigma_local", "orientation")))
+        detection_index = np.array([slots[key].pop(0) for key in keys])
+        response = np.empty(len(kps))
+        response[detection_index] = kps["response"]
+        assert (response[:-1] == response[1:]).any()  # ties exist
+        assert np.array_equal(detection_index, np.argsort(-response, kind="stable"))
+        # so every cap is a prefix of the uncapped result
+        for cap in (1, 10, len(kps) // 2):
+            assert np.array_equal(detect_keypoints(pyr, max_keypoints=cap), kps[:cap])
+
+    def test_octave_and_image_coordinates_agree(self, detected):
+        pyr, kps = detected
+        step = 2 ** kps["octave"]
+        assert kps["octave"].max() > 0
+        assert np.array_equal(kps["x"], kps["x_octave"] * step)
+        assert np.array_equal(kps["y"], kps["y_octave"] * step)
+        assert np.array_equal(kps["scale"], kps["sigma_local"] * step)
+        # refinement moves sigma off the level's own sigma, by at most half a level
+        assert np.any(kps["sigma_local"] != pyr.sigma_local(kps["level"]))
+        assert np.all(kps["sigma_local"] >= pyr.sigma_local(kps["level"] - 0.5))
+        assert np.all(kps["sigma_local"] <= pyr.sigma_local(kps["level"] + 0.5))
+
+    def test_max_dim_divides_by_the_resize_scale(self):
+        _, frame = dot_grid(n=30, size=256, spacing=28, dot_sigma=6.0)
+        params = FeatureParams(octaves=2, max_dim=128)
+        work, scale = resize_max_dim(frame, params.max_dim)
+        assert scale != 1.0
+        resized = extract_features(frame, params)
+        direct = extract_features(work, FeatureParams(octaves=2))
+        assert len(resized.keypoints) > 5
+        for name in KEYPOINT_DTYPE.names:
+            want = direct.keypoints[name]
+            if name in ("x", "y", "scale"):
+                want = want / scale
+            assert np.array_equal(resized.keypoints[name], want), name
+        assert np.array_equal(resized.descriptors, direct.descriptors)
+        assert resized.skipped == direct.skipped
+
+    @pytest.mark.parametrize("form", ["list", "two_d", "float_array", "other_fields"])
+    def test_compute_descriptors_rejects_other_forms(self, detected, form):
+        pyr, kps = detected
+        bad = {
+            "list": lambda: list(kps[:5]),
+            "two_d": lambda: kps[:6].reshape(2, 3),
+            "float_array": lambda: positions(kps[:5]),
+            "other_fields": lambda: np.zeros(5, dtype=[("x", float), ("y", float)]),
+        }[form]()
+        with pytest.raises(TypeError, match="KEYPOINT_DTYPE"):
+            compute_descriptors(pyr, bad)
+
+    @pytest.mark.parametrize("octave, level", [(3, 1), (-1, 1), (0, 6), (0, -1)])
+    def test_compute_descriptors_rejects_levels_outside_the_pyramid(self, detected, octave, level):
+        pyr, _ = detected  # 3 octaves of 6 levels
+        kp = keypoint_array(x=30.0, y=30.0, response=1.0, octave=octave, level=level,
+                            x_octave=30.0, y_octave=30.0, sigma_local=1.6)
+        with pytest.raises(ValueError, match="outside the pyramid"):
+            compute_descriptors(pyr, kp)
 
 
 def one_descriptor(gx, gy, kp):
     """The former per-keypoint descriptor: np.add.at over eight trilinear corners."""
     height, width = gx.shape
-    cos_t, sin_t = np.cos(kp.orientation), np.sin(kp.orientation)
-    spacing = features.DESC_SAMPLE_SPACING * kp.sigma_local
+    cos_t, sin_t = np.cos(kp["orientation"]), np.sin(kp["orientation"])
+    spacing = features.DESC_SAMPLE_SPACING * kp["sigma_local"]
     u = features._DESC_UU.ravel() * spacing
     v = features._DESC_VV.ravel() * spacing
-    sx = kp.x_octave + cos_t * u - sin_t * v
-    sy = kp.y_octave + sin_t * u + cos_t * v
+    sx = kp["x_octave"] + cos_t * u - sin_t * v
+    sy = kp["y_octave"] + sin_t * u + cos_t * v
     if sx.min() < 0 or sy.min() < 0 or sx.max() >= width - 1 or sy.max() >= height - 1:
         return None
     gxs = features._bilinear(gx, sx, sy)
     gys = features._bilinear(gy, sx, sy)
     mag = np.hypot(gxs, gys) * features._DESC_GAUSS
-    ang = np.mod(np.arctan2(gys, gxs) - kp.orientation, 2.0 * np.pi)
+    ang = np.mod(np.arctan2(gys, gxs) - kp["orientation"], 2.0 * np.pi)
     obin = ang / (2.0 * np.pi) * 8
 
     hist = np.zeros((4, 4, 8))
@@ -265,13 +369,13 @@ def one_descriptor(gx, gy, kp):
 def reference_descriptors(pyramid, keypoints):
     """(kept keypoints, descriptor rows, skipped) from one_descriptor, keypoint by keypoint."""
     kept, rows = [], []
-    for kp in keypoints:
-        gx, gy = features._gradients(pyramid.gaussians[kp.octave][kp.level])
+    for i, kp in enumerate(keypoints):
+        gx, gy = features._gradients(pyramid.gaussians[kp["octave"]][kp["level"]])
         vec = one_descriptor(gx, gy, kp)
         if vec is not None:
-            kept.append(kp)
+            kept.append(i)
             rows.append(vec)
-    return kept, np.array(rows).reshape(-1, 128), len(keypoints) - len(kept)
+    return keypoints[kept], np.array(rows).reshape(-1, 128), len(keypoints) - len(kept)
 
 
 def crowded_level(pyramid, n, seed):
@@ -281,11 +385,8 @@ def crowded_level(pyramid, n, seed):
     height, width = pyramid.gaussians[0][1].shape
     sigma = pyramid.sigma_local(1)
     xs, ys = rng.uniform(0, width - 1, n), rng.uniform(0, height - 1, n)
-    return [
-        Keypoint(x=x, y=y, scale=sigma, orientation=t, response=1.0, octave=0, level=1,
-                 x_octave=x, y_octave=y, sigma_local=sigma)
-        for x, y, t in zip(xs, ys, rng.uniform(0, 2 * np.pi, n))
-    ]
+    return keypoint_array(x=xs, y=ys, scale=sigma, orientation=rng.uniform(0, 2 * np.pi, n),
+                          response=1.0, level=1, x_octave=xs, y_octave=ys, sigma_local=sigma)
 
 
 class TestDescriptorsAgainstReference:
@@ -295,19 +396,21 @@ class TestDescriptorsAgainstReference:
         pyr = build_scale_space(frame, octaves=octaves)
         kps = detect_keypoints(pyr)
         # mixed levels and input order; the crowded level spans three blocks
-        kps = kps + crowded_level(pyr, 2 * DESC_BLOCK_KEYPOINTS + 7, seed=octaves)
-        kps = [kps[i] for i in np.random.default_rng(octaves).permutation(len(kps))]
+        kps = np.concatenate([kps, crowded_level(pyr, 2 * DESC_BLOCK_KEYPOINTS + 7, seed=octaves)])
+        kps = kps[np.random.default_rng(octaves).permutation(len(kps))]
         feats = compute_descriptors(pyr, kps)
         kept, rows, skipped = reference_descriptors(pyr, kps)
         assert skipped > 0 and len(kept) > 2 * DESC_BLOCK_KEYPOINTS
-        assert [id(kp) for kp in feats.keypoints] == [id(kp) for kp in kept]
+        assert np.array_equal(feats.keypoints, kept)
         assert feats.skipped == skipped
         assert np.array_equal(feats.descriptors, rows)
 
     def test_no_keypoints(self):
         _, frame = dot_grid(n=10)
-        feats = compute_descriptors(build_scale_space(frame, octaves=1), [])
-        assert feats.keypoints == [] and feats.skipped == 0
+        feats = compute_descriptors(build_scale_space(frame, octaves=1),
+                                    np.empty(0, dtype=KEYPOINT_DTYPE))
+        assert feats.keypoints.dtype == KEYPOINT_DTYPE and len(feats.keypoints) == 0
+        assert feats.skipped == 0
         assert feats.descriptors.shape == (0, 128)
 
 
@@ -474,10 +577,10 @@ class TestExtractAndCache:
         full = extract_features(frame, FeatureParams(octaves=3))
         half = extract_features(frame, FeatureParams(octaves=2, max_dim=128))
         assert len(half.keypoints) > 5
-        pos_full = np.array([[kp.x, kp.y] for kp in full.keypoints])
+        pos_full = positions(full.keypoints)
         close = 0
-        for kp in half.keypoints:
-            d = np.linalg.norm(pos_full - [kp.x, kp.y], axis=1)
+        for xy in positions(half.keypoints):
+            d = np.linalg.norm(pos_full - xy, axis=1)
             if d.min() < 2.0:
                 close += 1
         assert close >= len(half.keypoints) * 0.6
@@ -489,6 +592,6 @@ class TestExtractAndCache:
         pa, pb, pairs = match_frames(feats, feats, params)
         assert len(pa) == len(pairs) == len(pb) > 0
         assert np.array_equal(pairs[:, 0], pairs[:, 1])
-        positions = np.array([[kp.x, kp.y] for kp in feats.keypoints])
-        assert np.array_equal(pa, positions[pairs[:, 0]])
-        assert np.array_equal(pb, positions[pairs[:, 1]])
+        pos = positions(feats.keypoints)
+        assert np.array_equal(pa, pos[pairs[:, 0]])
+        assert np.array_equal(pb, pos[pairs[:, 1]])

@@ -20,6 +20,7 @@ correspondence_arrays; the stacked solvers behind them take the validated
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,28 +318,137 @@ def symmetric_epipolar_errors(f, points_a, points_b):
 # temporaries to a few MB
 RANSAC_BLOCK_POINTS = 1 << 16
 
+# NumPy's SeedSequence and PCG64 constants (numpy/random/bit_generator.pyx,
+# numpy/random/src/pcg64): the hash multipliers, the pool mixer, and the
+# 128-bit LCG multiplier as (high, low) 64-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924, 4865540595714422341)
+_M32 = 0xFFFFFFFF
 
-def _ransac_candidates(a, b, iterations, inlier_threshold, seed):
-    """Yield (i, inlier count, errors, inlier mask, F) for each RANSAC
-    iteration whose sample gives a model with inliers, in iteration order.
+
+def _seed_words(entropy):
+    """SeedSequence(s).generate_state(4, uint64) for a (K,) uint32 array of
+    one-word entropies s; returns the four (K,) uint64 words."""
+    hash_const = _INIT_A
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        v = v * hash_const
+        return v ^ (v >> 16)
+
+    pool = [hashmix(entropy)] + [hashmix(np.zeros_like(entropy)) for _ in range(3)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = v ^ (v >> 16)
+    hash_const = _INIT_B
+    words = []
+    for k in range(8):
+        v = pool[k % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        v = v * hash_const
+        words.append((v ^ (v >> 16)).astype(np.uint64))
+    return [lo | (hi << 32) for lo, hi in zip(words[::2], words[1::2])]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * MULT + inc mod 2**128, on (high, low) uint64 words."""
+    m_hi, m_lo = _PCG_MULT
+    # high word of the 64x64-bit product lo * m_lo, from 32-bit halves
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = m_lo & _M32, m_lo >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    product_hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * m_lo + inc_lo
+    carry = (new_lo < inc_lo).astype(np.uint64)
+    return hi * m_lo + lo * m_hi + product_hi + inc_hi + carry, new_lo
+
+
+def _pcg_draws(entropy, count):
+    """The first `count` uint32 draws of PCG64(SeedSequence(s)) for each of a
+    (K,) uint32 array of entropies s, as a (count, K) uint64 array.
+
+    Each 64-bit XSL-RR output gives two draws, its low half first.
+    """
+    seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(entropy)
+    # srandom: state 0, inc = 2 * seq + 1; step, add the seed, step
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < seed_lo).astype(np.uint64)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    outputs = []
+    for _ in range((count + 1) // 2):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        outputs.append((x >> rot) | (x << ((64 - rot) & 63)))
+    out = np.array(outputs)
+    return np.stack([out & _M32, out >> 32], axis=1).reshape(-1, len(entropy))[:count]
+
+
+def _ransac_samples(n, seed, start, stop):
+    """The 8-point samples of RANSAC iterations start..stop-1 as a (K, 8) array:
+    row k equals np.random.default_rng(seed ^ (start + k)).choice(n, 8, replace=False).
+
+    NumPy draws that sample by Floyd's algorithm (Lemire bounded draws on
+    [0, j] for j = n-8 .. n-1, a value already taken replaced by j), then
+    shuffles it (draws on [0, i] for i = 7 .. 1). Here all iterations run
+    that as array arithmetic. An iteration NumPy may draw differently is
+    redone with NumPy itself: n == 8 or n >= 2**32, an entropy seed ^ i of
+    more than one 32-bit word, or a Lemire draw that could be rejected.
+    """
+    seed = operator.index(seed)
+    count = stop - start
+    picked = np.empty((count, 8), dtype=np.int64)
+    redo = np.ones(count, dtype=bool)
+    if 8 < n < 2**32 and 0 <= seed and (seed | (stop - 1)) < 2**32:
+        entropy = np.arange(start, stop, dtype=np.uint32) ^ np.uint32(seed)
+        bounds = np.array([*range(n - 7, n + 1), *range(8, 1, -1)], dtype=np.uint64)
+        m = _pcg_draws(entropy, len(bounds)) * bounds[:, None]
+        redo = ((m & _M32) < bounds[:, None]).any(axis=0)
+        value = (m >> 32).astype(np.int64)
+        for c, j in enumerate(range(n - 8, n)):
+            taken = (picked[:, :c] == value[c, :, None]).any(axis=1)
+            picked[:, c] = np.where(taken, j, value[c])
+        rows = np.arange(count)
+        for i, swap in zip(range(7, 0, -1), value[8:]):
+            picked[rows, i], picked[rows, swap] = picked[rows, swap], picked[rows, i]
+    for k in np.flatnonzero(redo):
+        picked[k] = np.random.default_rng(seed ^ (start + int(k))).choice(n, 8, replace=False)
+    return picked
+
+
+def _ransac_best(a, b, iterations, inlier_threshold, seed):
+    """The best RANSAC candidate as (inlier count, mean inlier error, inlier
+    mask, F), or None if no iteration gives a model with inliers.
 
     Iterations are solved and scored in blocks, one stacked call per step;
-    each iteration draws its sample from default_rng(seed ^ i).
+    every iteration runs, there is no early stop. The best candidate has
+    the most inliers; among those, the lowest mean
+    inlier Sampson error, and then the earliest iteration.
     """
     n = len(a)
     block = max(1, RANSAC_BLOCK_POINTS // n)
+    best = None
     for start in range(0, iterations, block):
-        stop = min(start + block, iterations)
-        idx = np.array([
-            np.random.default_rng(seed ^ i).choice(n, size=8, replace=False)
-            for i in range(start, stop)
-        ])
+        idx = _ransac_samples(n, seed, start, min(start + block, iterations))
         models, ok = _eight_point_stack(a[idx], b[idx])
         errors, flagged = _sampson_stack(models, a, b)
         masks = (errors < inlier_threshold) & ~flagged
-        counts = masks.sum(axis=1)
-        for k in np.flatnonzero(ok & (counts > 0)):
-            yield start + int(k), int(counts[k]), errors[k], masks[k], models[k]
+        counts = np.where(ok, masks.sum(axis=1), 0)
+        top = int(counts.max())
+        if top == 0 or (best is not None and top < best[0]):
+            continue
+        for k in np.flatnonzero(counts == top):
+            mean_err = float(errors[k][masks[k]].mean())
+            if best is None or top > best[0] or mean_err < best[1]:
+                best = (top, mean_err, masks[k], models[k])
+    return best
 
 
 def ransac_fundamental(
@@ -346,16 +456,15 @@ def ransac_fundamental(
     iterations: int = 2000,
     inlier_threshold: float = 1.0,
     seed: int = 0,
-    adaptive: bool = False,
-    confidence: float = 0.999,
 ):
     """RANSAC over 8-point minimal samples; returns (FundamentalMatrix, inlier mask).
 
-    Deterministic for a given seed: iteration i draws its sample from an RNG
-    seeded with seed XOR i, so any evaluation order gives identical results.
-    Consensus ties are broken by lower mean inlier Sampson error. The winning
-    model is refit on its full consensus set. With adaptive=True the loop
-    stops early once `confidence` is reached for the best inlier ratio seen.
+    Deterministic for a given seed: iteration i draws its sample as
+    default_rng(seed ^ i).choice(n, 8, replace=False), so any evaluation
+    order gives identical results. All iterations run; there is no early
+    stop. Consensus ties are broken by lower mean inlier Sampson error, then
+    by the earlier iteration. The winning model is refit on its full
+    consensus set.
     """
     a, b = correspondence_arrays(correspondences)
     n = len(a)
@@ -364,20 +473,7 @@ def ransac_fundamental(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    best = None  # (count, mean_inlier_error, mask, model)
-    for i, count, errors, mask, model in _ransac_candidates(
-            a, b, iterations, inlier_threshold, seed):
-        if best is None or count >= best[0]:
-            mean_err = float(errors[mask].mean())
-            if best is None or count > best[0] or mean_err < best[1]:
-                best = (count, mean_err, mask, model)
-        if adaptive and best[0] >= 8:
-            ratio = best[0] / n
-            miss = 1.0 - min(ratio, 1.0 - 1e-12) ** 8
-            needed = int(np.ceil(np.log(1.0 - confidence) / np.log(miss)))
-            if i + 1 >= needed:
-                break
-
+    best = _ransac_best(a, b, iterations, inlier_threshold, seed)
     if best is None:
         raise EstimationFailedError("no RANSAC iteration produced a valid model")
     count, _, mask, model = best

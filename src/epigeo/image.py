@@ -182,17 +182,23 @@ def _decode_png(data: bytes) -> Frame:
         raise DecodeError("unsupported PNG compression/filter method", 26)
     if interlace != 0:
         raise DecodeError("interlaced PNG not supported", 28)
-    try:
-        raw = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise DecodeError(f"corrupt PNG pixel stream: {exc}", 8) from exc
     channels = 1 if color_type == 0 else 3
     sample_bytes = bit_depth // 8
     stride = width * channels * sample_bytes
-    if len(raw) != height * (stride + 1):
-        raise DecodeError(
-            f"PNG pixel stream has {len(raw)} bytes, expected {height * (stride + 1)}", 8
-        )
+    expected = height * (stride + 1)
+    # inflate at most one byte past the declared size, so a small stream that
+    # expands to gigabytes fails before it is allocated
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(idat, expected + 1)
+    except zlib.error as exc:
+        raise DecodeError(f"corrupt PNG pixel stream: {exc}", 8) from exc
+    if len(raw) > expected:
+        raise DecodeError(f"PNG pixel stream inflates past {expected} bytes", 8)
+    if not inflater.eof:
+        raise DecodeError("corrupt PNG pixel stream: incomplete or truncated stream", 8)
+    if len(raw) != expected:
+        raise DecodeError(f"PNG pixel stream has {len(raw)} bytes, expected {expected}", 8)
     unfiltered = _png_unfilter(raw, height, stride, channels * sample_bytes)
     if bit_depth == 8:
         samples = unfiltered.astype(np.float64) / 255.0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigeo.dataset import (
     SKIP_TOO_FEW_UNFLAGGED,
@@ -214,3 +216,39 @@ def test_build_pairs_deterministic():
     assert build_pairs(groups, max_pairs_per_group=2) == build_pairs(
         groups, max_pairs_per_group=2
     )
+
+
+# a few fixed scores make exact ties (equal scores, equal gaps) common
+member_strategy = st.tuples(
+    st.one_of(st.sampled_from([0.3, 0.6, 0.6000001, 0.9]), st.floats(0.01, 1.0), st.none()),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    members=st.lists(member_strategy, min_size=2, max_size=7),
+    data=st.data(),
+    tau=st.sampled_from([0.0, 0.05, 0.3]),
+    epsilon=st.sampled_from([0.2, 0.5]),
+)
+def test_ranking_ignores_member_order(members, data, tau, epsilon):
+    scores = [
+        vs(f"v{k}", score, near_static=static and score is not None,
+           insufficient=few and score is not None)
+        for k, (score, static, few) in enumerate(members)
+    ]
+    shuffled = data.draw(st.permutations(scores))
+    g, h = group("p", *scores), group("p", *shuffled)
+    try:
+        ranked = rank_group(g)
+    except GroupSkipped as skip:
+        with pytest.raises(GroupSkipped) as other:
+            rank_group(h)
+        assert other.value.reason == skip.reason
+    else:
+        assert rank_group(h) == ranked
+    for budget in (1, 2, 30):
+        kwargs = dict(tau=tau, epsilon=epsilon, max_pairs_per_group=budget)
+        assert build_pairs([h], **kwargs) == build_pairs([g], **kwargs)

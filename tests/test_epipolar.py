@@ -1,5 +1,7 @@
 """Tests for fundamental-matrix estimation and epipolar error measures."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,16 +241,13 @@ class TestRansac:
         assert np.array_equal(m1, m2)
         assert np.array_equal(f1.m, f2.m)
 
-    @pytest.mark.parametrize("adaptive", [False, True])
-    def test_block_size_does_not_change_result(self, rig, monkeypatch, adaptive):
-        # on this data the adaptive run stops early with a different model
-        # than the full run, so its stopping iteration is checked too
+    def test_block_size_does_not_change_result(self, rig, monkeypatch):
         cam_a, cam_b = rig
         xa, xb, _ = project_box(cam_a, cam_b, 40, seed=26)
         rng = np.random.default_rng(4)
         xb = xb + rng.normal(0, 1.0, xb.shape)
         xb[:8] = rng.uniform((0, 0), (640, 480), size=(8, 2))
-        kwargs = dict(iterations=300, inlier_threshold=1.0, seed=16, adaptive=adaptive)
+        kwargs = dict(iterations=300, inlier_threshold=1.0, seed=16)
         f1, m1 = ransac_fundamental((xa, xb), **kwargs)
         monkeypatch.setattr(epipolar, "RANSAC_BLOCK_POINTS", 1)  # one iteration per block
         f2, m2 = ransac_fundamental((xa, xb), **kwargs)
@@ -268,12 +267,179 @@ class TestRansac:
         with pytest.raises(EstimationFailedError):
             ransac_fundamental((xa, xb), iterations=50, inlier_threshold=1e-12, seed=5)
 
-    def test_adaptive_agrees_on_clean_data(self, rig):
+    def test_negative_seed_rejected_as_by_numpy(self, rig):
         cam_a, cam_b = rig
-        xa, xb, _ = project_box(cam_a, cam_b, 80, seed=25)
-        f1, m1 = ransac_fundamental((xa, xb), iterations=500, seed=11)
-        f2, m2 = ransac_fundamental((xa, xb), iterations=500, seed=11, adaptive=True)
-        assert m2.all() and m1.all()
+        xa, xb, _ = project_box(cam_a, cam_b, 20, seed=25)
+        with pytest.raises(ValueError):
+            ransac_fundamental((xa, xb), iterations=5, seed=-1)
+
+
+    @pytest.mark.parametrize("special, winner", [
+        ({}, 0),                               # all tie: the earliest iteration
+        ({6: (4, 0.5), 9: (4, 0.5)}, 6),       # most inliers, then the earliest
+        ({7: (3, 0.25), 9: (3, 0.25)}, 7),     # lowest mean error, then the earliest
+        ({2: (3, 0.25), 5: (4, 0.75)}, 5),     # count first, error second
+    ])
+    def test_selection_rule(self, monkeypatch, special, winner):
+        # stubbed solver and scorer: iteration i has `count` inliers, the
+        # points i, i+1, ..., each at `error`; blocks of 4 iterations
+        n, iterations = 12, 10
+        solved = iter(range(iterations))
+
+        def solve(a_s, b_s):
+            models = np.zeros((len(a_s), 3, 3))
+            models[:, 0, 0] = [next(solved) for _ in a_s]
+            return models, np.ones(len(a_s), dtype=bool)
+
+        def score(models, a, b):
+            errors = np.full((len(models), n), 9.0)
+            for row, i in enumerate(models[:, 0, 0].astype(int)):
+                count, error = special.get(i, (3, 0.5))
+                errors[row, (i + np.arange(count)) % n] = error
+            return errors, np.zeros(errors.shape, dtype=bool)
+
+        monkeypatch.setattr(epipolar, "_eight_point_stack", solve)
+        monkeypatch.setattr(epipolar, "_sampson_stack", score)
+        monkeypatch.setattr(epipolar, "RANSAC_BLOCK_POINTS", 4 * n)
+        points = np.ones((n, 3))
+        count, _, mask, model = epipolar._ransac_best(points, points, iterations, 1.0, 0)
+        assert model[0, 0] == winner
+        assert count == special.get(winner, (3,))[0] == mask.sum()
+
+def reference_samples(n, seed, start, stop):
+    """Per-iteration NumPy draws: row k is the sample of iteration start + k."""
+    return np.array([
+        np.random.default_rng(seed ^ i).choice(n, size=8, replace=False)
+        for i in range(start, stop)
+    ])
+
+
+class TestRansacSamples:
+    """The batched sampler against NumPy's own default_rng(seed ^ i).choice.
+
+    Also the guard against a NumPy release that changes the stream of
+    SeedSequence, PCG64 or Generator.choice (NEP 19 allows it).
+    """
+
+    def check(self, n, seed, start, stop):
+        got = epipolar._ransac_samples(n, seed, start, stop)
+        assert got.shape == (stop - start, 8)
+        np.testing.assert_array_equal(got, reference_samples(n, seed, start, stop),
+                                      err_msg=f"n={n} seed={seed} start={start}")
+        return stop - start
+
+    # n = 8 is redone by NumPy; 327/328 and 8192/8193 sit on either side of
+    # a change of block size RANSAC_BLOCK_POINTS // n (200/199 and 8/7)
+    @pytest.mark.parametrize("n", [8, 9, 120, 327, 328, 2000, 8192, 8193, 20000])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_fixed_cases_in_ransac_blocks(self, n, seed):
+        iterations = 300
+        block = max(1, epipolar.RANSAC_BLOCK_POINTS // n)
+        for start in range(0, iterations, block):
+            self.check(n, seed, start, min(start + block, iterations))
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(2024)
+        cases = 0
+        while cases < 100_000:
+            n = int(rng.choice([rng.integers(9, 40), rng.integers(40, 2000),
+                                rng.integers(2000, 30000)]))
+            start = int(rng.integers(0, 5000))
+            cases += self.check(n, int(rng.integers(0, 2**32)), start,
+                                start + int(rng.integers(1, 600)))
+
+    def test_rejection_case(self):
+        # the first Floyd draw is on [0, 2**31], whose Lemire rejection
+        # threshold is 2**31 - 1: about half of these iterations redraw
+        self.check(2**31 + 8, 77, 1000, 1200)
+
+
+def reference_ransac(correspondences, iterations, inlier_threshold, seed):
+    """Reference RANSAC: one Generator per iteration draws its sample, and a
+    Python loop scans every candidate in iteration order."""
+    a, b = epipolar.correspondence_arrays(correspondences)
+    n = len(a)
+    if n < 8:
+        raise ValueError(f"need at least 8 correspondences, got {n}")
+
+    def candidates():
+        block = max(1, epipolar.RANSAC_BLOCK_POINTS // n)
+        for start in range(0, iterations, block):
+            stop = min(start + block, iterations)
+            idx = np.array([
+                np.random.default_rng(seed ^ i).choice(n, size=8, replace=False)
+                for i in range(start, stop)
+            ])
+            models, ok = epipolar._eight_point_stack(a[idx], b[idx])
+            errors, flagged = epipolar._sampson_stack(models, a, b)
+            masks = (errors < inlier_threshold) & ~flagged
+            counts = masks.sum(axis=1)
+            for k in np.flatnonzero(ok & (counts > 0)):
+                yield int(counts[k]), errors[k], masks[k], models[k]
+
+    best = None
+    for count, errors, mask, model in candidates():
+        if best is None or count >= best[0]:
+            mean_err = float(errors[mask].mean())
+            if best is None or count > best[0] or mean_err < best[1]:
+                best = (count, mean_err, mask, model)
+    if best is None:
+        raise EstimationFailedError("no RANSAC iteration produced a valid model")
+    count, _, mask, model = best
+    if count < 8:
+        raise EstimationFailedError(
+            f"best consensus has only {count} inliers (need at least 8)")
+    try:
+        refit = epipolar._eight_point_arrays(a[mask], b[mask])
+    except DegenerateConfigurationError:
+        refit = model
+    errors, flagged = epipolar._sampson_stack(refit, a, b)
+    final_mask = (errors < inlier_threshold) & ~flagged
+    if int(final_mask.sum()) < 8:
+        final_mask, refit = mask, model
+    return refit, final_mask
+
+
+def random_ransac_case(rng, rig):
+    """Matched points with noise, outliers and repeated rows, and a seed that
+    is sometimes wider than 32 bits."""
+    cam_a, cam_b = rig
+    n = int(rng.choice([rng.integers(8, 16), rng.integers(16, 200), rng.integers(200, 1501)]))
+    xa, xb, _ = project_box(cam_a, cam_b, n, seed=int(rng.integers(1 << 30)))
+    xb = xb + rng.normal(0.0, rng.choice([0.0, 0.3, 2.0]), xb.shape)
+    out = rng.random(n) < rng.choice([0.0, 0.2, 0.6])
+    xb[out] = rng.uniform((0, 0), (640, 480), size=(int(out.sum()), 2))
+    if rng.random() < 0.3:  # repeated points
+        src = rng.integers(0, n, size=n // 3)
+        dst = rng.integers(0, n, size=n // 3)
+        xa[dst], xb[dst] = xa[src], xb[src]
+    seed = int(rng.integers(0, 2**32)) if rng.random() < 0.8 else int(rng.integers(1, 2**62))
+    if rng.random() < 0.1:
+        seed += 2**32
+    kwargs = dict(iterations=int(rng.integers(1, 120)),
+                  inlier_threshold=float(rng.choice([1e-6, 0.5, 1.0, 4.0])), seed=seed)
+    return (xa, xb), kwargs
+
+
+class TestRansacAgainstReference:
+    def test_random_cases_byte_equal(self, rig):
+        rng = np.random.default_rng(606)
+        outcomes = set()
+        for case in range(300):
+            corr, kwargs = random_ransac_case(rng, rig)
+            try:
+                want = reference_ransac(corr, **kwargs)
+            except EstimationFailedError as exc:
+                with pytest.raises(EstimationFailedError, match=re.escape(str(exc))):
+                    ransac_fundamental(corr, **kwargs)
+                outcomes.add("failed")
+                continue
+            f, mask = ransac_fundamental(corr, **kwargs)
+            assert f.m.tobytes() == want[0].tobytes(), (case, kwargs)
+            assert mask.tobytes() == want[1].tobytes(), (case, kwargs)
+            assert f.inlier_count == int(want[1].sum())
+            outcomes.add("all" if mask.all() else "some")
+        assert outcomes == {"failed", "all", "some"}
 
 
 class TestFundamentalFromCameras:

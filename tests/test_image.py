@@ -1,6 +1,7 @@
 """Tests for frame decoding, Gaussian blur, SSIM, and motion level."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -292,6 +293,47 @@ class TestDecodePNG:
         with pytest.raises(DecodeError) as exc:
             decode_frame(data[:20])
         assert exc.value.offset == 16
+
+    def test_inflate_bomb_rejected_without_inflating(self):
+        # a valid zlib stream of 256 MiB of zeros (about 260 KB compressed):
+        # units of 1 MiB, each ended by a full flush, so every unit after the
+        # first compresses to the same bytes
+        mib = bytes(1 << 20)
+        deflate = zlib.compressobj(9)
+        head = deflate.compress(mib) + deflate.flush(zlib.Z_FULL_FLUSH)
+        unit = deflate.compress(mib) + deflate.flush(zlib.Z_FULL_FLUSH)
+        adler = 1
+        for _ in range(256):
+            adler = zlib.adler32(mib, adler)
+        stream = head + unit * 255 + b"\x03\x00" + struct.pack(">I", adler)
+        assert len(stream) < 400_000
+        data = bytearray(make_png(np.zeros((1, 1), dtype=np.uint8)))
+        idat_len = struct.unpack(">I", data[33:37])[0]
+        assert data[37:41] == b"IDAT"
+        idat = (struct.pack(">I", len(stream)) + b"IDAT" + stream
+                + struct.pack(">I", zlib.crc32(b"IDAT" + stream) & 0xFFFFFFFF))
+        data[33 : 33 + 12 + idat_len] = idat
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError) as exc:
+                decode_frame(bytes(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # the input is copied a few times; 256 MiB never is
+        assert exc.value.offset == 8
+        assert "inflates past 2 bytes" in str(exc.value)
+
+    def test_truncated_pixel_stream_rejected(self):
+        data = bytearray(make_png(np.zeros((4, 4), dtype=np.uint8)))
+        idat_len = struct.unpack(">I", data[33:37])[0]
+        stream = bytes(data[41 : 41 + idat_len - 4])  # drop the adler32 trailer
+        idat = (struct.pack(">I", len(stream)) + b"IDAT" + stream
+                + struct.pack(">I", zlib.crc32(b"IDAT" + stream) & 0xFFFFFFFF))
+        data[33 : 33 + 12 + idat_len] = idat
+        with pytest.raises(DecodeError, match="corrupt PNG pixel stream") as exc:
+            decode_frame(bytes(data))
+        assert exc.value.offset == 8
 
     def test_interlaced_rejected(self):
         data = make_png(np.zeros((2, 2), dtype=np.uint8), interlace=1)

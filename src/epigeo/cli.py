@@ -51,12 +51,10 @@ from .dataset import (
 from .features import FeatureParams
 from .image import DecodeError, ssim
 from .io import (
-    camera_to_record,
     canonical_json,
     list_frame_files,
     load_frame,
     load_frames,
-    preference_pair_to_record,
     read_jsonl,
     video_score_from_record,
     video_score_to_record,
@@ -284,6 +282,41 @@ def check_jsonl(path: str, expected_hash: str) -> bool:
     )
 
 
+# -------------------------------------------------------------------- outputs
+
+def _header(chash, **extra) -> dict:
+    """The provenance every output file starts with, plus ``extra``."""
+    return {"config_hash": chash, "tool_version": __version__, **extra}
+
+
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(canonical_json(obj) + "\n")
+
+
+def _carries(path: str, chash) -> bool:
+    """Whether a written file still embeds ``chash``.
+
+    The first line tells the file's form: a JSONL header (checked with every
+    record), the loss trace's CSV comment, or a whole JSON object.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    if first.startswith("# {"):
+        return check_jsonl(path, chash)
+    if first.startswith("#"):
+        return f"config_hash={chash} " in first
+    return json.loads(first).get("config_hash") == chash
+
+
+def _finish(args, chash, *paths) -> int:
+    """EXIT_FATAL when ``--check`` finds a written file without ``chash``."""
+    if args.check and not all(_carries(path, chash) for path in paths):
+        print("error: embedded config hash mismatch", file=sys.stderr)
+        return EXIT_FATAL
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------- subcommands
 
 def cmd_synth(args) -> int:
@@ -319,28 +352,26 @@ def cmd_synth(args) -> int:
         )
 
     dynamic_idx, _ = dynamic_motion(scene, spec)
-    scene_record = {
-        "config_hash": chash,
-        "tool_version": __version__,
-        "seed": config.seed,
-        "n_points": args.points,
-        "extent": args.extent,
-        "kind": spec.kind,
-        "n_frames": spec.n_frames,
-        "width": spec.width,
-        "height": spec.height,
-        "focal": spec.focal,
-        "jitter_sigma": spec.jitter_sigma,
-        "outlier_fraction": spec.outlier_fraction,
-        "dynamic_fraction": spec.dynamic_fraction,
-        "dynamic_speed": spec.dynamic_speed,
-        "dot_sigma": args.dot_sigma,
-        "texture_amplitude": args.texture,
-        "dynamic_point_ids": sorted(int(i) for i in dynamic_idx),
-        "cameras": [camera_to_record(c) for c in cams],
-    }
-    with open(os.path.join(args.out, "scene.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(scene_record) + "\n")
+    scene_path = os.path.join(args.out, "scene.json")
+    _write_json(scene_path, _header(
+        chash,
+        seed=config.seed,
+        n_points=args.points,
+        extent=args.extent,
+        kind=spec.kind,
+        n_frames=spec.n_frames,
+        width=spec.width,
+        height=spec.height,
+        focal=spec.focal,
+        jitter_sigma=spec.jitter_sigma,
+        outlier_fraction=spec.outlier_fraction,
+        dynamic_fraction=spec.dynamic_fraction,
+        dynamic_speed=spec.dynamic_speed,
+        dot_sigma=args.dot_sigma,
+        texture_amplitude=args.texture,
+        dynamic_point_ids=sorted(int(i) for i in dynamic_idx),
+        cameras=[{"k": c.k.tolist(), "r": c.r.tolist(), "t": c.t.tolist()} for c in cams],
+    ))
 
     corr_records = []
     for (i, j) in sorted(projected.pairs):
@@ -358,20 +389,9 @@ def cmd_synth(args) -> int:
                     "label": str(cs.labels[k]),
                 }
             )
-    write_jsonl(
-        os.path.join(args.out, "correspondences.jsonl"),
-        corr_records,
-        header={"config_hash": chash, "tool_version": __version__, "record": "correspondence"},
-    )
-
-    if args.check:
-        ok = check_jsonl(os.path.join(args.out, "correspondences.jsonl"), chash)
-        with open(os.path.join(args.out, "scene.json"), "r", encoding="utf-8") as fh:
-            ok = ok and json.load(fh).get("config_hash") == chash
-        if not ok:
-            print("error: embedded config hash mismatch", file=sys.stderr)
-            return EXIT_FATAL
-    return EXIT_OK
+    corr_path = os.path.join(args.out, "correspondences.jsonl")
+    write_jsonl(corr_path, corr_records, _header(chash, record="correspondence"))
+    return _finish(args, chash, corr_path, scene_path)
 
 
 def cmd_score(args) -> int:
@@ -381,19 +401,17 @@ def cmd_score(args) -> int:
         print(f"error: no frames found under {args.input}", file=sys.stderr)
         return EXIT_FATAL
     chash = config.config_hash
-    scores = [
-        score_video(load_frames(paths), config.scoring, video_id=vid, seed=config.seed, config_hash=chash)
-        for vid, paths in videos
-    ]
+    scores = []
+    for vid, paths in videos:
+        try:
+            scores.append(score_video(load_frames(paths), config.scoring, video_id=vid,
+                                      seed=config.seed, config_hash=chash))
+        except ValueError as exc:
+            raise ValueError(f"video {vid!r}: {exc}") from None
     records = [video_score_to_record(vs, per_pair=args.per_pair) for vs in scores]
-    header = {"config_hash": chash, "tool_version": __version__, "record": "video_score"}
-    write_jsonl(args.output, records, header)
-
-    if args.check and not check_jsonl(args.output, chash):
-        print("error: embedded config hash mismatch", file=sys.stderr)
-        return EXIT_FATAL
+    write_jsonl(args.output, records, _header(chash, record="video_score"))
     flagged = any(vs.near_static or vs.insufficient_texture for vs in scores)
-    return EXIT_PARTIAL if flagged else EXIT_OK
+    return _finish(args, chash, args.output) or (EXIT_PARTIAL if flagged else EXIT_OK)
 
 
 def cmd_rank(args) -> int:
@@ -414,12 +432,8 @@ def cmd_rank(args) -> int:
         except GroupSkipped as skip:
             skipped += 1
             records.append({"prompt_id": group.prompt_id, "skipped": skip.reason})
-    header = {"config_hash": chash, "tool_version": __version__, "record": "ranking"}
-    write_jsonl(args.output, records, header)
-    if args.check and not check_jsonl(args.output, chash):
-        print("error: embedded config hash mismatch", file=sys.stderr)
-        return EXIT_FATAL
-    return EXIT_PARTIAL if skipped else EXIT_OK
+    write_jsonl(args.output, records, _header(chash, record="ranking"))
+    return _finish(args, chash, args.output) or (EXIT_PARTIAL if skipped else EXIT_OK)
 
 
 def cmd_pairs(args) -> int:
@@ -434,20 +448,16 @@ def cmd_pairs(args) -> int:
         max_pairs_per_group=config.max_pairs_per_group,
         on_skip=lambda pid, why: skips.append({"prompt_id": pid, "reason": why}),
     )
-    header = {
-        "config_hash": chash,
-        "tool_version": __version__,
-        "record": "preference_pair",
-        "tau": config.tau,
-        "epsilon": config.epsilon,
-        "max_pairs_per_group": config.max_pairs_per_group,
-        "skipped_groups": skips,
-    }
-    write_jsonl(args.output, [preference_pair_to_record(p) for p in pairs], header)
-    if args.check and not check_jsonl(args.output, chash):
-        print("error: embedded config hash mismatch", file=sys.stderr)
-        return EXIT_FATAL
-    return EXIT_OK
+    header = _header(
+        chash,
+        record="preference_pair",
+        tau=config.tau,
+        epsilon=config.epsilon,
+        max_pairs_per_group=config.max_pairs_per_group,
+        skipped_groups=skips,
+    )
+    write_jsonl(args.output, [asdict(p) for p in pairs], header)
+    return _finish(args, chash, args.output)
 
 
 def _items_from_latents(path: str):
@@ -503,50 +513,39 @@ def cmd_dpo_demo(args) -> int:
         fh.write("step,loss\n")
         for k, value in enumerate(trace):
             fh.write(f"{k},{value!r}\n")
-    params_record = {
-        "config_hash": chash,
-        "tool_version": __version__,
-        "dims": dims,
-        "steps": args.steps,
-        "learning_rate": args.lr,
-        "beta": config.beta,
-        "lam": config.lam,
-        "clean_mode": config.clean_mode,
-        "penalty_branch": config.penalty_branch,
-        "final_loss": trace[-1],
-        "parameters": model.parameters.tolist(),
-    }
-    with open(os.path.join(args.out, "final_params.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(params_record) + "\n")
-
-    if args.check:
-        with open(trace_path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-        with open(os.path.join(args.out, "final_params.json"), "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        if chash not in first or saved.get("config_hash") != chash:
-            print("error: embedded config hash mismatch", file=sys.stderr)
-            return EXIT_FATAL
-    return EXIT_OK
+    params_path = os.path.join(args.out, "final_params.json")
+    _write_json(params_path, _header(
+        chash,
+        dims=dims,
+        steps=args.steps,
+        learning_rate=args.lr,
+        beta=config.beta,
+        lam=config.lam,
+        clean_mode=config.clean_mode,
+        penalty_branch=config.penalty_branch,
+        final_loss=trace[-1],
+        parameters=model.parameters.tolist(),
+    ))
+    return _finish(args, chash, trace_path, params_path)
 
 
 def cmd_ssim(args) -> int:
+    if args.check and not args.output:
+        print("error: ssim --check needs --output: there is no file to re-read", file=sys.stderr)
+        return EXIT_USAGE
     config = load_config(args.config, config_overrides(args))
-    value = ssim(load_frame(args.frame_a), load_frame(args.frame_b))
-    record = {
-        "config_hash": config.config_hash,
-        "tool_version": __version__,
-        "frame_a": os.path.basename(args.frame_a),
-        "frame_b": os.path.basename(args.frame_b),
-        "ssim": value,
-    }
-    line = canonical_json(record)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
-    return EXIT_OK
+    chash = config.config_hash
+    record = _header(
+        chash,
+        frame_a=os.path.basename(args.frame_a),
+        frame_b=os.path.basename(args.frame_b),
+        ssim=ssim(load_frame(args.frame_a), load_frame(args.frame_b)),
+    )
+    if not args.output:
+        print(canonical_json(record))
+        return EXIT_OK
+    _write_json(args.output, record)
+    return _finish(args, chash, args.output)
 
 
 # -------------------------------------------------------------------- parsing

@@ -66,32 +66,22 @@ class Frame:
 # decoding
 
 
-def decode_frame(data: bytes, format: str | None = None) -> Frame:
+def decode_frame(data: bytes) -> Frame:
     """Decode PGM (binary P5) or PNG bytes into a Frame.
 
-    `format` may be "PGM" or "PNG"; when omitted it is sniffed from the
-    magic bytes. RGB PNGs are converted to luminance with BT.601 weights;
+    The format is told by the magic bytes; anything else is a DecodeError at
+    offset 0. RGB PNGs are converted to luminance with BT.601 weights;
     sample values are scaled by the format's maximum (maxval for PGM,
-    255/65535 for 8/16-bit PNG).
+    255/65535 for 8/16-bit PNG). A PGM sample above maxval is a DecodeError.
     """
-    if format is None:
-        if data[:2] == b"P5":
-            format = "PGM"
-        elif data[:8] == PNG_SIGNATURE:
-            format = "PNG"
-        else:
-            raise DecodeError("unrecognized image magic", 0)
-    fmt = format.upper()
-    if fmt == "PGM":
+    if data[:2] == b"P5":
         return _decode_pgm(data)
-    if fmt == "PNG":
+    if data[:8] == PNG_SIGNATURE:
         return _decode_png(data)
-    raise ValueError(f"unsupported format {format!r} (expected PGM or PNG)")
+    raise DecodeError("unrecognized image magic", 0)
 
 
 def _decode_pgm(data: bytes) -> Frame:
-    if data[:2] != b"P5":
-        raise DecodeError("not a binary PGM (missing P5 magic)", 0)
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -127,8 +117,14 @@ def _decode_pgm(data: bytes) -> Frame:
             pos + len(body),
         )
     dtype = np.uint8 if bytes_per_sample == 1 else np.dtype(">u2")
-    raw = np.frombuffer(body, dtype=dtype).astype(np.float64).reshape(height, width)
-    return Frame(raw / maxval)
+    samples = np.frombuffer(body, dtype=dtype)
+    over = np.flatnonzero(samples > maxval)
+    if over.size:
+        k = int(over[0])
+        raise DecodeError(
+            f"PGM sample {samples[k]} exceeds maxval {maxval}", pos + k * bytes_per_sample
+        )
+    return Frame(samples.astype(np.float64).reshape(height, width) / maxval)
 
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -136,8 +132,6 @@ _PNG_FILTER_NAMES = {0: "None", 1: "Sub", 2: "Up", 3: "Average", 4: "Paeth"}
 
 
 def _decode_png(data: bytes) -> Frame:
-    if data[:8] != PNG_SIGNATURE:
-        raise DecodeError("not a PNG (bad signature)", 0)
     pos = 8
     header = None
     idat = bytearray()

@@ -1,4 +1,4 @@
-"""File formats: PGM frames, JSONL records, and score/pair serialization.
+"""File formats: PGM frames, JSONL files, and the records of result dataclasses.
 
 All writers are deterministic: same inputs produce the same bytes, so reruns
 can be compared with a plain file diff.  JSONL files are UTF-8 with one JSON
@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 
-from .dataset import PreferencePair
-from .epipolar import CameraMatrix
 from .image import DecodeError, Frame, decode_frame
 from .scoring import PairScore, VideoScore
 
@@ -103,72 +102,26 @@ def read_jsonl(path):
 
 # ------------------------------------------------------------------- records
 
-def pair_score_to_record(p: PairScore) -> dict:
-    return {
-        "frame_i": p.frame_i,
-        "frame_j": p.frame_j,
-        "n_matches": p.n_matches,
-        "n_inliers": p.n_inliers,
-        "mean_inlier_sampson": p.mean_inlier_sampson,
-        "median_inlier_sampson": p.median_inlier_sampson,
-        "status": p.status,
-    }
+def from_record(cls, rec: dict):
+    """The dataclass ``cls`` built from the keys of ``rec`` that name its fields.
 
-
-def pair_score_from_record(rec: dict) -> PairScore:
-    return PairScore(
-        frame_i=int(rec["frame_i"]),
-        frame_j=int(rec["frame_j"]),
-        n_matches=int(rec["n_matches"]),
-        n_inliers=int(rec["n_inliers"]),
-        mean_inlier_sampson=rec["mean_inlier_sampson"],
-        median_inlier_sampson=rec["median_inlier_sampson"],
-        status=rec["status"],
-    )
+    Unknown keys are ignored; a missing field without a default is a KeyError
+    naming it.
+    """
+    return cls(**{
+        f.name: rec[f.name] for f in fields(cls)
+        if f.name in rec or (f.default is MISSING and f.default_factory is MISSING)
+    })
 
 
 def video_score_to_record(vs: VideoScore, per_pair: bool = False) -> dict:
-    rec = {
-        "video_id": vs.video_id,
-        "consistency_error": vs.consistency_error,
-        "consistency_score": vs.consistency_score,
-        "motion_level": vs.motion_level,
-        "n_valid_pairs": vs.n_valid_pairs,
-        "near_static": vs.near_static,
-        "insufficient_texture": vs.insufficient_texture,
-        "config_hash": vs.config_hash,
-    }
-    if per_pair:
-        rec["pair_scores"] = [pair_score_to_record(p) for p in vs.pair_scores]
+    """The fields of ``vs``; ``pair_scores`` only when ``per_pair``."""
+    rec = asdict(vs)
+    if not per_pair:
+        del rec["pair_scores"]
     return rec
 
 
 def video_score_from_record(rec: dict) -> VideoScore:
-    return VideoScore(
-        video_id=rec["video_id"],
-        consistency_error=rec["consistency_error"],
-        consistency_score=rec["consistency_score"],
-        motion_level=rec["motion_level"],
-        n_valid_pairs=int(rec["n_valid_pairs"]),
-        near_static=bool(rec["near_static"]),
-        insufficient_texture=bool(rec["insufficient_texture"]),
-        config_hash=rec.get("config_hash"),
-        pair_scores=tuple(
-            pair_score_from_record(p) for p in rec.get("pair_scores", [])
-        ),
-    )
-
-
-def preference_pair_to_record(p: PreferencePair) -> dict:
-    return {
-        "prompt_id": p.prompt_id,
-        "winner_id": p.winner_id,
-        "loser_id": p.loser_id,
-        "winner_score": p.winner_score,
-        "loser_score": p.loser_score,
-        "score_gap": p.score_gap,
-    }
-
-
-def camera_to_record(cam: CameraMatrix) -> dict:
-    return {"k": cam.k.tolist(), "r": cam.r.tolist(), "t": cam.t.tolist()}
+    vs = from_record(VideoScore, rec)
+    return replace(vs, pair_scores=tuple(from_record(PairScore, p) for p in vs.pair_scores))

@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
+from epigeo import cli
 from epigeo.alignment import LinearVelocityModel, synthetic_preference_items
 from epigeo.cli import (
     EXIT_FATAL,
@@ -19,6 +20,7 @@ from epigeo.cli import (
     EXIT_PARTIAL,
     EXIT_USAGE,
     RunConfig,
+    _carries,
     build_parser,
     check_jsonl,
     collect_videos,
@@ -26,7 +28,8 @@ from epigeo.cli import (
     load_config,
     main,
 )
-from epigeo.io import read_jsonl, write_jsonl
+from epigeo.image import Frame
+from epigeo.io import read_jsonl, write_jsonl, write_pgm
 
 SCORE_FLAGS = [
     "--gaps", "1", "2", "--stride", "1", "--ransac-iterations", "300",
@@ -219,6 +222,18 @@ def _malformed_run(case, ws, tmp):
         bad.write_bytes(b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + ihdr
                         + struct.pack(">I", zlib.crc32(ihdr)))
         return ["score", str(frames), "--output", out], bad
+    if case in ("pgm_sample_above_maxval", "video_with_one_frame", "video_with_mixed_sizes"):
+        frames = tmp / case
+        frames.mkdir()
+        if case == "pgm_sample_above_maxval":
+            bad = frames / "frame_000.pgm"
+            bad.write_bytes(b"P5 2 2 100 " + bytes([0, 200, 5, 5]))
+        else:
+            heights = [300] if case == "video_with_one_frame" else [300, 280]
+            for k, height in enumerate(heights):
+                write_pgm(Frame(np.full((height, 300), 0.5)), frames / f"frame_{k:03d}.pgm")
+            bad = case  # the video id: no single file is at fault
+        return ["score", str(frames), "--output", out], bad
     if case == "config_with_string_stride":
         bad = _write_json(tmp / "cfg.json", {"stride": "x"})
         return ["score", str(ws / "manifest.json"), "--config", str(bad), "--output", out], bad
@@ -248,6 +263,9 @@ def _malformed_run(case, ws, tmp):
     ("scores_line_not_json", "line 3"),
     ("config_not_json", "line 1"),
     ("truncated_png_frame", "truncated PNG chunk"),
+    ("pgm_sample_above_maxval", "exceeds maxval 100 (byte offset 12)"),
+    ("video_with_one_frame", "video 'video_with_one_frame': need at least 2 frames"),
+    ("video_with_mixed_sizes", "video 'video_with_mixed_sizes': frame 1 dimensions differ"),
 ])
 def test_malformed_input_is_fatal(workspace, tmp_path, capsys, case, key):
     argv, bad = _malformed_run(case, workspace, tmp_path)
@@ -437,6 +455,47 @@ def test_check_jsonl_detects_foreign_hash(workspace):
     assert not check_jsonl(path, "0" * 16)
 
 
+def test_check_reads_every_output_form(workspace, pairs_file, tmp_path):
+    frame = str(workspace / "clean" / "frames" / "frame_000.pgm")
+    assert main(["synth", "--out", str(tmp_path / "scene"), "--frames", "2", "--points", "20",
+                 "--width", "64", "--height", "64", "--focal", "80"]) == EXIT_OK
+    assert main(["dpo-demo", "--pairs", str(pairs_file), "--out", str(tmp_path / "demo"),
+                 "--steps", "5"]) == EXIT_OK
+    assert main(["ssim", frame, frame, "--output", str(tmp_path / "ssim.txt")]) == EXIT_OK
+    scores = workspace / "scores.jsonl"
+    written = [(tmp_path / name, RunConfig().config_hash)
+               for name in ("scene/scene.json", "scene/correspondences.jsonl",
+                            "demo/loss_trace.csv", "demo/final_params.json", "ssim.txt")]
+    written.append((scores, read_jsonl(scores)[0]["config_hash"]))
+    for path, chash in written:
+        assert _carries(str(path), chash), path
+        assert not _carries(str(path), "0" * 16), path
+
+
+@pytest.mark.parametrize("command", ["synth", "score", "rank", "pairs", "dpo-demo", "ssim"])
+def test_check_fails_on_a_foreign_hash(workspace, pairs_file, tmp_path, capsys, monkeypatch, command):
+    """A file written under another hash fails --check with exit 1, ahead of
+    the partial exit 2 that score and rank give on this workspace."""
+    scores, groups = str(workspace / "scores.jsonl"), str(workspace / "groups.json")
+    out = str(tmp_path / "out")
+    frame = str(workspace / "clean" / "frames" / "frame_000.pgm")
+    argv = {
+        "synth": ["synth", "--out", out, "--frames", "2", "--points", "20",
+                  "--width", "64", "--height", "64", "--focal", "80"],
+        "score": ["score", str(workspace / "manifest.json"), "--output", out] + SCORE_FLAGS,
+        "rank": ["rank", "--scores", scores, "--groups", groups, "--output", out],
+        "pairs": ["pairs", "--scores", scores, "--groups", groups, "--output", out],
+        "dpo-demo": ["dpo-demo", "--pairs", str(pairs_file), "--out", out, "--steps", "5"],
+        "ssim": ["ssim", frame, frame, "--output", out],
+    }[command]
+    assert main(argv + ["--check"]) in (EXIT_OK, EXIT_PARTIAL)
+    capsys.readouterr()
+    real_header = cli._header
+    monkeypatch.setattr(cli, "_header", lambda chash, **extra: real_header("0" * 16, **extra))
+    assert main(argv + ["--check"]) == EXIT_FATAL
+    assert capsys.readouterr().err == "error: embedded config hash mismatch\n"
+
+
 # ----------------------------------------------------------------------- rank
 
 def test_rank_orders_and_skips(workspace, tmp_path):
@@ -599,3 +658,11 @@ def test_ssim_output_file(workspace, tmp_path):
     record = json.loads(out.read_text())
     assert 0.0 < record["ssim"] < 1.0
     assert record["frame_a"] == "frame_000.pgm"
+
+
+def test_ssim_check_without_output_is_usage_error(workspace, capsys):
+    a = str(workspace / "clean" / "frames" / "frame_000.pgm")
+    assert main(["ssim", a, a, "--check"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--check needs --output" in captured.err

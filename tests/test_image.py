@@ -233,9 +233,19 @@ class TestDecodePGM:
         assert exc.value.offset == len(data)
         assert "byte offset" in str(exc.value)
 
+    @pytest.mark.parametrize("header, samples, offset", [
+        (b"P5 2 2 100 ", bytes([0, 200, 5, 101]), 12),
+        (b"P5 2 1 1000 ", struct.pack(">2H", 1000, 1001), 14),
+    ])
+    def test_sample_above_maxval_reports_offset(self, header, samples, offset):
+        with pytest.raises(DecodeError) as exc:
+            decode_frame(header + samples)
+        assert exc.value.offset == offset
+        assert "exceeds maxval" in exc.value.message
+
     def test_bad_magic(self):
         with pytest.raises(DecodeError) as exc:
-            decode_frame(b"P6 1 1 255 abc", format="PGM")
+            decode_frame(b"P6 1 1 255 abc")
         assert exc.value.offset == 0
 
     def test_garbage_in_header(self):

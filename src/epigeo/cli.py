@@ -258,7 +258,12 @@ def load_score_groups(scores_path: str, groups_path: str):
             vs = video_score_from_record(rec)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{scores_path}: malformed score record ({type(exc).__name__}: {exc})") from None
-        by_id[_require_id(vs.video_id, "video_id", scores_path)] = vs
+        except ValueError as exc:  # a VideoScore or PairScore invariant
+            raise ValueError(f"{scores_path}: video {rec.get('video_id')!r}: {exc}") from None
+        vid = _require_id(vs.video_id, "video_id", scores_path)
+        if vid in by_id:
+            raise ValueError(f"{scores_path}: video_id {vid!r} appears more than once")
+        by_id[vid] = vs
     manifest = _read_json_object(groups_path, "group manifest")
     groups = []
     for entry in _require_type(manifest.get("groups", []), list, "groups", groups_path):

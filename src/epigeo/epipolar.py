@@ -434,9 +434,15 @@ def _ransac_best(a, b, iterations, inlier_threshold, seed):
     """
     n = len(a)
     block = max(1, RANSAC_BLOCK_POINTS // n)
+    # the sampler has a fixed cost per call, so draw for a whole number of
+    # blocks at once, up to RANSAC_BLOCK_POINTS // 8 iterations (one block
+    # when a block is larger)
+    chunk = block * max(1, RANSAC_BLOCK_POINTS // 8 // block)
     best = None
     for start in range(0, iterations, block):
-        idx = _ransac_samples(n, seed, start, min(start + block, iterations))
+        if start % chunk == 0:
+            drawn = _ransac_samples(n, seed, start, min(start + chunk, iterations))
+        idx = drawn[start % chunk : start % chunk + block]
         models, ok = _eight_point_stack(a[idx], b[idx])
         errors, flagged = _sampson_stack(models, a, b)
         masks = (errors < inlier_threshold) & ~flagged

@@ -7,6 +7,16 @@ orientation assignment, and 4x4x8 gradient descriptors over a rotated
 16x16 sample window. Matching is Lowe's ratio test with an optional
 mutual-consistency filter.
 
+Every stage runs as array passes, not per keypoint, and gives the same bits
+as a per-keypoint loop would. The extrema search compacts flat candidate
+indices after each neighbour comparison. Refinement solves one stacked
+(K, 3, 3) Hessian system per round, for at most 5 rounds. The contrast, edge
+and bounds gates are array masks. Orientation histograms are gathered per
+(octave, level) and window radius, one bincount per block, and their peaks
+found with array ops. Descriptors are built per (octave, level) block the
+same way. Scalars whose array form can round differently (powers of
+sigma) are still computed per keypoint.
+
 A keypoint set is an (N,) array of KEYPOINT_DTYPE, one row per keypoint,
 from detection through descriptors to matching; compute_descriptors rejects
 any other form. A match set is an (M, 2) integer array of (index_a, index_b)
@@ -28,6 +38,9 @@ DESC_SIZE = DESC_GRID * DESC_GRID * DESC_BINS
 DESC_WINDOW = 16          # samples per side, descriptor frame
 DESC_CLIP = 0.2
 ORI_BINS = 36
+# keypoints whose orientation windows are gathered in one batched pass;
+# bounds the (K, window) temporaries however many keypoints share a level
+ORI_BLOCK_KEYPOINTS = 512
 MIN_OCTAVE_DIM = 16
 
 
@@ -150,67 +163,109 @@ def build_scale_space(
 # detection
 
 
+# the 26 neighbour offsets (ds, dy, dx), the 4 same-level ones first
+_SAME_LEVEL = [(0, 0, -1), (0, 0, 1), (0, -1, 0), (0, 1, 0)]
+_NEIGHBOURS = _SAME_LEVEL + [
+    (ds, dy, dx) for ds in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+    if (ds, dy, dx) != (0, 0, 0) and (ds, dy, dx) not in _SAME_LEVEL
+]
+
+
 def _local_extrema(stack: np.ndarray, prefilter: float):
-    """Strict 3x3x3 extrema of the middle layers of a (L, H, W) stack."""
-    center = stack[1:-1, 1:-1, 1:-1]
-    is_max = np.abs(center) > prefilter
+    """Strict 3x3x3 extrema of the middle layers of a (L, H, W) stack.
+
+    Returns their (s, y, x) rows in np.argwhere order. The candidates are the
+    interior samples above the prefilter, kept as flat indices; each of the
+    26 neighbour comparisons drops the candidates it rules out, the 4
+    same-level neighbours first because they rule out the most.
+    """
+    height, width = stack.shape[1:]
+    candidate = np.zeros(stack.shape, dtype=bool)
+    candidate[1:-1, 1:-1, 1:-1] = np.abs(stack[1:-1, 1:-1, 1:-1]) > prefilter
+    idx = np.flatnonzero(candidate)
+    flat = stack.ravel()
+    value = flat[idx]
+    is_max = np.ones(len(idx), dtype=bool)
     is_min = is_max.copy()
-    for ds in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if ds == dy == dx == 0:
-                    continue
-                neigh = stack[
-                    1 + ds : stack.shape[0] - 1 + ds,
-                    1 + dy : stack.shape[1] - 1 + dy,
-                    1 + dx : stack.shape[2] - 1 + dx,
-                ]
-                is_max &= center > neigh
-                is_min &= center < neigh
-                if not (is_max.any() or is_min.any()):
-                    return np.empty((0, 3), dtype=np.int64)
-    return np.argwhere(is_max | is_min) + 1
+    for ds, dy, dx in _NEIGHBOURS:
+        neigh = flat[idx + (ds * height + dy) * width + dx]
+        is_max &= value > neigh
+        is_min &= value < neigh
+        keep = np.flatnonzero(is_max | is_min)
+        idx, value, is_max, is_min = idx[keep], value[keep], is_max[keep], is_min[keep]
+    return np.column_stack(np.unravel_index(idx, stack.shape))
 
 
-def _grad_hessian(stack, s, y, x):
-    g = np.array(
-        [
-            (stack[s + 1, y, x] - stack[s - 1, y, x]) / 2.0,
-            (stack[s, y + 1, x] - stack[s, y - 1, x]) / 2.0,
-            (stack[s, y, x + 1] - stack[s, y, x - 1]) / 2.0,
-        ]
-    )
-    c = stack[s, y, x]
-    dss = stack[s + 1, y, x] + stack[s - 1, y, x] - 2 * c
-    dyy = stack[s, y + 1, x] + stack[s, y - 1, x] - 2 * c
-    dxx = stack[s, y, x + 1] + stack[s, y, x - 1] - 2 * c
-    dsy = (stack[s + 1, y + 1, x] - stack[s + 1, y - 1, x]
-           - stack[s - 1, y + 1, x] + stack[s - 1, y - 1, x]) / 4.0
-    dsx = (stack[s + 1, y, x + 1] - stack[s + 1, y, x - 1]
-           - stack[s - 1, y, x + 1] + stack[s - 1, y, x - 1]) / 4.0
-    dyx = (stack[s, y + 1, x + 1] - stack[s, y + 1, x - 1]
-           - stack[s, y - 1, x + 1] + stack[s, y - 1, x - 1]) / 4.0
-    h = np.array([[dss, dsy, dsx], [dsy, dyy, dyx], [dsx, dyx, dxx]])
+def _grad_hessian(flat, idx, height, width):
+    """DoG gradients (K, 3) and Hessians (K, 3, 3), in (s, y, x) order, at
+    flat indices idx of a (L, height, width) stack."""
+
+    def at(ds, dy, dx):
+        return flat[idx + (ds * height + dy) * width + dx]
+
+    c = at(0, 0, 0)
+    g = np.column_stack([
+        (at(1, 0, 0) - at(-1, 0, 0)) / 2.0,
+        (at(0, 1, 0) - at(0, -1, 0)) / 2.0,
+        (at(0, 0, 1) - at(0, 0, -1)) / 2.0,
+    ])
+    dss = at(1, 0, 0) + at(-1, 0, 0) - 2 * c
+    dyy = at(0, 1, 0) + at(0, -1, 0) - 2 * c
+    dxx = at(0, 0, 1) + at(0, 0, -1) - 2 * c
+    dsy = (at(1, 1, 0) - at(1, -1, 0) - at(-1, 1, 0) + at(-1, -1, 0)) / 4.0
+    dsx = (at(1, 0, 1) - at(1, 0, -1) - at(-1, 0, 1) + at(-1, 0, -1)) / 4.0
+    dyx = (at(0, 1, 1) - at(0, 1, -1) - at(0, -1, 1) + at(0, -1, -1)) / 4.0
+    h = np.column_stack([dss, dsy, dsx, dsy, dyy, dyx, dsx, dyx, dxx]).reshape(-1, 3, 3)
     return g, h
 
 
-def _refine(stack, s, y, x, n_layers, height, width):
-    """Iterative quadratic refinement; returns (s, y, x, offset, value) or None."""
+def _solve_offsets(h, g):
+    """(offsets, solved): -solve(h[k], g[k]) per row, and which rows have a
+    nonsingular Hessian. LinAlgError covers a whole stacked solve, so a
+    stack holding a singular Hessian is solved again row by row; LAPACK
+    gives each row the same result either way."""
+    try:
+        return -np.linalg.solve(h, g[:, :, None])[:, :, 0], np.ones(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        offsets = np.zeros_like(g)
+        solved = np.ones(len(g), dtype=bool)
+        for k in range(len(g)):
+            try:
+                offsets[k] = -np.linalg.solve(h[k], g[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return offsets, solved
+
+
+def _refine(stack, extrema):
+    """Iterative quadratic refinement of (K, 3) extrema, at most 5 rounds.
+
+    Each round solves every unsettled extremum at once. One whose offset is
+    within half a sample on every axis settles; the others move by their
+    rounded offset, and are dropped when that leaves the interior or when
+    their Hessian is singular. Returns, per settled extremum: its row in
+    `extrema`, its final (s, y, x), offset, refined DoG value and Hessian.
+    """
+    n_layers, height, width = stack.shape
+    flat = stack.ravel()
+    interior = np.array([n_layers, height, width]) - 1
+    row, pos = np.arange(len(extrema)), extrema
+    settled_parts = [(row[:0], pos[:0], np.empty((0, 3)), np.empty(0), np.empty((0, 3, 3)))]
     for _ in range(5):
-        g, h = _grad_hessian(stack, s, y, x)
-        try:
-            offset = -np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
-            return None
-        if np.all(np.abs(offset) <= 0.5):
-            value = stack[s, y, x] + 0.5 * float(g @ offset)
-            return s, y, x, offset, value
-        s += int(np.round(offset[0]))
-        y += int(np.round(offset[1]))
-        x += int(np.round(offset[2]))
-        if not (1 <= s < n_layers - 1 and 1 <= y < height - 1 and 1 <= x < width - 1):
-            return None
-    return None
+        if not len(row):
+            break
+        idx = (pos[:, 0] * height + pos[:, 1]) * width + pos[:, 2]
+        g, h = _grad_hessian(flat, idx, height, width)
+        offset, solved = _solve_offsets(h, g)
+        settled = solved & np.all(np.abs(offset) <= 0.5, axis=1)
+        # row by row g @ offset: a (1, 3) @ (3, 1) matmul is that dot product
+        gain = (g[settled, None, :] @ offset[settled, :, None]).reshape(-1)
+        settled_parts.append((row[settled], pos[settled], offset[settled],
+                              flat[idx[settled]] + 0.5 * gain, h[settled]))
+        moved = pos + np.round(offset)
+        go_on = solved & ~settled & np.all((moved >= 1) & (moved < interior), axis=1)
+        row, pos = row[go_on], moved[go_on].astype(np.intp)
+    return [np.concatenate(part) for part in zip(*settled_parts)]
 
 
 def _gradients(img):
@@ -227,38 +282,52 @@ def _gradients(img):
 
 
 def _orientations(gx, gy, x, y, sigma_local):
-    """Peaks of the 36-bin gradient-orientation histogram around (x, y)."""
+    """Peaks of the 36-bin gradient-orientation histograms of keypoints at
+    octave positions (x, y) and scales sigma_local on one gradient image.
+
+    Returns (keypoint, theta) arrays, one entry per peak, in keypoint order
+    and ascending bin within a keypoint. A keypoint's window is the disc of
+    radius round(4.5 sigma) around its nearest sample. Keypoints are gathered
+    per radius, in blocks of at most ORI_BLOCK_KEYPOINTS, and one bincount
+    adds each bin's terms in the window's row-major order, as a per-keypoint
+    histogram would.
+    """
     height, width = gx.shape
-    radius = max(int(np.round(4.5 * sigma_local)), 1)
-    cx, cy = int(np.round(x)), int(np.round(y))
-    x0, x1 = max(cx - radius, 0), min(cx + radius + 1, width)
-    y0, y1 = max(cy - radius, 0), min(cy + radius + 1, height)
-    if x1 <= x0 or y1 <= y0:
-        return []
-    wx = gx[y0:y1, x0:x1]
-    wy = gy[y0:y1, x0:x1]
-    xs = np.arange(x0, x1, dtype=np.float64) - x
-    ys = np.arange(y0, y1, dtype=np.float64) - y
-    d2 = ys[:, None] ** 2 + xs[None, :] ** 2
-    weight = np.exp(-d2 / (2.0 * (1.5 * sigma_local) ** 2)) * np.hypot(wx, wy)
-    mask = d2 <= radius**2
-    angles = np.mod(np.arctan2(wy, wx), 2.0 * np.pi)
-    bins = np.minimum((angles / (2.0 * np.pi) * ORI_BINS).astype(int), ORI_BINS - 1)
-    hist = np.bincount(bins[mask].ravel(), weights=weight[mask].ravel(), minlength=ORI_BINS)
+    radius = np.maximum(np.round(4.5 * sigma_local).astype(np.intp), 1)
+    cx, cy = np.round(x).astype(np.intp), np.round(y).astype(np.intp)
+    # per keypoint in scalar arithmetic, which the array power can differ from
+    spread = np.array([2.0 * (1.5 * s) ** 2 for s in sigma_local])
+    hist = np.zeros((len(x), ORI_BINS))
+    for r in np.unique(radius):
+        same_radius = np.flatnonzero(radius == r)
+        for start in range(0, len(same_radius), ORI_BLOCK_KEYPOINTS):
+            group = same_radius[start : start + ORI_BLOCK_KEYPOINTS]
+            ys = cy[group, None] + np.arange(-r, r + 1)
+            xs = cx[group, None] + np.arange(-r, r + 1)
+            dy2 = (ys - y[group, None]) ** 2
+            dx2 = (xs - x[group, None]) ** 2
+            d2 = dy2[:, :, None] + dx2[:, None, :]
+            window = (((ys >= 0) & (ys < height))[:, :, None]
+                      & ((xs >= 0) & (xs < width))[:, None, :] & (d2 <= r * r))
+            k, i, j = np.nonzero(window)
+            at = ys[k, i] * width + xs[k, j]
+            wx, wy = gx.ravel()[at], gy.ravel()[at]
+            weight = np.exp(-d2[k, i, j] / spread[group[k]]) * np.hypot(wx, wy)
+            angles = np.mod(np.arctan2(wy, wx), 2.0 * np.pi)
+            bins = np.minimum((angles / (2.0 * np.pi) * ORI_BINS).astype(int), ORI_BINS - 1)
+            hist[group] = np.bincount(
+                k * ORI_BINS + bins, weights=weight, minlength=len(group) * ORI_BINS
+            ).reshape(-1, ORI_BINS)
     for _ in range(2):
-        hist = (np.roll(hist, 1) + hist + np.roll(hist, -1)) / 3.0
-    peak = hist.max()
-    if peak <= 0:
-        return []
-    out = []
-    for b in range(ORI_BINS):
-        left, right = hist[(b - 1) % ORI_BINS], hist[(b + 1) % ORI_BINS]
-        if hist[b] >= 0.8 * peak and hist[b] > left and hist[b] > right:
-            denom = left - 2.0 * hist[b] + right
-            delta = 0.5 * (left - right) / denom if denom != 0 else 0.0
-            theta = (b + 0.5 + delta) * (2.0 * np.pi / ORI_BINS)
-            out.append(theta % (2.0 * np.pi))
-    return out
+        hist = (np.roll(hist, 1, axis=1) + hist + np.roll(hist, -1, axis=1)) / 3.0
+    left, right = np.roll(hist, 1, axis=1), np.roll(hist, -1, axis=1)
+    peak = hist.max(axis=1, keepdims=True)
+    keypoint, b = np.nonzero((peak > 0) & (hist >= 0.8 * peak) & (hist > left) & (hist > right))
+    left, mid, right = left[keypoint, b], hist[keypoint, b], right[keypoint, b]
+    denom = left - 2.0 * mid + right
+    delta = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0)
+    theta = (b + 0.5 + delta) * (2.0 * np.pi / ORI_BINS)
+    return keypoint, np.mod(theta, 2.0 * np.pi)
 
 
 def detect_keypoints(
@@ -270,45 +339,50 @@ def detect_keypoints(
     """DoG extrema with subpixel refinement, contrast/edge gates, orientations.
 
     Returns an (N,) KEYPOINT_DTYPE array in stable descending-response order,
-    at most max_keypoints rows. An empty array is a valid result.
+    at most max_keypoints rows; before that sort, rows run in extremum order
+    (by octave, then np.argwhere order) and by ascending orientation bin
+    within an extremum. An empty array is a valid result.
     """
     r = edge_ratio_threshold
     edge_limit = (r + 1.0) ** 2 / r
-    grad_cache = {}
-    rows = []
+    found = []
     for o in range(pyramid.octaves):
         stack = np.stack(pyramid.dogs[o])
-        n_layers, height, width = stack.shape
-        for s, y, x in _local_extrema(stack, 0.5 * contrast_threshold):
-            refined = _refine(stack, int(s), int(y), int(x), n_layers, height, width)
-            if refined is None:
-                continue
-            s0, y0, x0, offset, value = refined
-            if abs(value) < contrast_threshold:
-                continue
-            d = stack[s0]
-            dxx = d[y0, x0 + 1] + d[y0, x0 - 1] - 2 * d[y0, x0]
-            dyy = d[y0 + 1, x0] + d[y0 - 1, x0] - 2 * d[y0, x0]
-            dxy = (d[y0 + 1, x0 + 1] - d[y0 + 1, x0 - 1]
-                   - d[y0 - 1, x0 + 1] + d[y0 - 1, x0 - 1]) / 4.0
-            det = dxx * dyy - dxy * dxy
-            trace = dxx + dyy
-            if det <= 0 or trace * trace / det >= edge_limit:
-                continue
-            x_oct = x0 + offset[2]
-            y_oct = y0 + offset[1]
-            x_img = x_oct * 2**o
-            y_img = y_oct * 2**o
-            if not (0 <= x_img < pyramid.width and 0 <= y_img < pyramid.height):
-                continue
-            sigma_local = pyramid.sigma_local(s0 + offset[0])
-            if (o, s0) not in grad_cache:
-                grad_cache[o, s0] = _gradients(pyramid.gaussians[o][s0])
-            gx, gy = grad_cache[o, s0]
-            for theta in _orientations(gx, gy, x_oct, y_oct, sigma_local):
-                rows.append((x_img, y_img, sigma_local * 2**o, theta, abs(value),
-                             o, s0, x_oct, y_oct, sigma_local))
-    rows = np.array(rows, dtype=KEYPOINT_DTYPE)
+        row, pos, offset, value, h = _refine(stack, _local_extrema(stack, 0.5 * contrast_threshold))
+        # edge gate: the principal curvature ratio of the spatial 2x2 Hessian
+        dxx, dyy, dxy = h[:, 2, 2], h[:, 1, 1], h[:, 1, 2]
+        det = dxx * dyy - dxy * dxy
+        trace = dxx + dyy
+        keep = (np.abs(value) >= contrast_threshold) & (det > 0)
+        keep[keep] = trace[keep] * trace[keep] / det[keep] < edge_limit
+        x_oct = pos[:, 2] + offset[:, 2]
+        y_oct = pos[:, 1] + offset[:, 1]
+        x_img = x_oct * 2**o
+        y_img = y_oct * 2**o
+        keep &= (0 <= x_img) & (x_img < pyramid.width) & (0 <= y_img) & (y_img < pyramid.height)
+        keep = np.flatnonzero(keep)
+        # per keypoint in scalar arithmetic, which the array power can differ from
+        sigma_local = np.zeros(len(pos))
+        sigma_local[keep] = [pyramid.sigma_local(s) for s in pos[keep, 0] + offset[keep, 0]]
+        peaks, thetas = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for s in np.unique(pos[keep, 0]):
+            members = keep[pos[keep, 0] == s]
+            gx, gy = _gradients(pyramid.gaussians[o][s])
+            k, theta = _orientations(
+                gx, gy, x_oct[members], y_oct[members], sigma_local[members])
+            peaks.append(members[k])
+            thetas.append(theta)
+        # back from level order to extremum order
+        peaks = np.concatenate(peaks)
+        order = np.argsort(row[peaks], kind="stable")
+        k, theta = peaks[order], np.concatenate(thetas)[order]
+        rows = np.empty(len(k), dtype=KEYPOINT_DTYPE)
+        rows["x"], rows["y"], rows["scale"] = x_img[k], y_img[k], sigma_local[k] * 2**o
+        rows["orientation"], rows["response"] = theta, np.abs(value[k])
+        rows["octave"], rows["level"] = o, pos[k, 0]
+        rows["x_octave"], rows["y_octave"], rows["sigma_local"] = x_oct[k], y_oct[k], sigma_local[k]
+        found.append(rows)
+    rows = np.concatenate(found)
     return rows[np.argsort(-rows["response"], kind="stable")[:max_keypoints]]
 
 
@@ -326,17 +400,24 @@ _CELL_R = (_DESC_VV / (DESC_WINDOW / DESC_GRID) + (DESC_GRID - 1) / 2.0).ravel()
 _CELL_C = (_DESC_UU / (DESC_WINDOW / DESC_GRID) + (DESC_GRID - 1) / 2.0).ravel()
 
 
-def _bilinear(img, xs, ys):
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
+def _bilinear_taps(xs, ys, width):
+    """Flat indices of the four neighbours of each sample (xs, ys) in an
+    image `width` wide, with the row and column weights of each."""
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
     fx = xs - x0
     fy = ys - y0
-    return (
-        img[y0, x0] * (1 - fy) * (1 - fx)
-        + img[y0, x0 + 1] * (1 - fy) * fx
-        + img[y0 + 1, x0] * fy * (1 - fx)
-        + img[y0 + 1, x0 + 1] * fy * fx
-    )
+    at = y0 * width + x0
+    return ((at, 1 - fy, 1 - fx), (at + 1, 1 - fy, fx),
+            (at + width, fy, 1 - fx), (at + width + 1, fy, fx))
+
+
+def _bilinear(img, taps):
+    """img bilinearly sampled at the points of _bilinear_taps, each term
+    weighted row first, then column."""
+    flat = img.ravel()
+    (a, wa, va), (b, wb, vb), (c, wc, vc), (d, wd, vd) = taps
+    return flat[a] * wa * va + flat[b] * wb * vb + flat[c] * wc * vc + flat[d] * wd * vd
 
 
 # pixels between adjacent descriptor samples, per unit of keypoint sigma;
@@ -352,25 +433,35 @@ DESC_BLOCK_KEYPOINTS = 256
 def _spatial_corners():
     """The four spatial corners of each sample's trilinear spread.
 
-    Per corner (dr, dc), in accumulation order: the samples whose corner cell
-    lies in the 4x4 grid, their row and column weights, and that cell's first
-    histogram bin.
+    Per corner (dr, dc), in accumulation order: the rows and the columns of
+    the 16x16 sample grid whose corner cell lies in the 4x4 grid (a
+    rectangle, as two slices), their row and column weights, and each
+    sample's first histogram bin of that cell.
     """
-    r0 = np.floor(_CELL_R).astype(int)
-    c0 = np.floor(_CELL_C).astype(int)
-    fr = _CELL_R - r0
-    fc = _CELL_C - c0
+    cell_r = _CELL_R.reshape(DESC_WINDOW, DESC_WINDOW)[:, 0]
+    cell_c = _CELL_C.reshape(DESC_WINDOW, DESC_WINDOW)[0]
+    r0 = np.floor(cell_r).astype(int)
+    c0 = np.floor(cell_c).astype(int)
+    fr = cell_r - r0
+    fc = cell_c - c0
+
+    def within(cells):
+        inside = np.flatnonzero((cells >= 0) & (cells < DESC_GRID))
+        return slice(inside[0], inside[-1] + 1)
+
     corners = []
     for dr, wr in ((0, 1 - fr), (1, fr)):
-        rr = r0 + dr
+        rows = within(r0 + dr)
         for dc, wc in ((0, 1 - fc), (1, fc)):
-            cc = c0 + dc
-            sel = np.flatnonzero((rr >= 0) & (rr < DESC_GRID) & (cc >= 0) & (cc < DESC_GRID))
-            corners.append((sel, wr[sel], wc[sel], (rr[sel] * DESC_GRID + cc[sel]) * DESC_BINS))
+            cols = within(c0 + dc)
+            cell = ((r0[rows, None] + dr) * DESC_GRID + c0[None, cols] + dc) * DESC_BINS
+            corners.append((rows, cols, wr[rows, None], wc[None, cols], cell))
     return tuple(corners)
 
 
 _SPATIAL_CORNERS = _spatial_corners()
+# histogram terms per keypoint: two orientation bins per spatial corner sample
+_DESC_TERMS = 2 * sum(cell.size for *_, cell in _SPATIAL_CORNERS)
 
 
 def _describe_block(gx, gy, kps):
@@ -380,8 +471,8 @@ def _describe_block(gx, gy, kps):
     the image and whose histogram is not empty, and their (kept.sum(), 128)
     unit descriptor rows. Every bin sums its terms in the order of a
     per-keypoint np.add.at over the eight trilinear corners, and each row is
-    normalized by np.linalg.norm of that row, so the rows are bit-identical
-    to describing the keypoints one at a time.
+    normalized by its np.linalg.norm, so the rows are bit-identical to
+    describing the keypoints one at a time.
     """
     height, width = gx.shape
     theta = kps["orientation"][:, None]
@@ -396,37 +487,47 @@ def _describe_block(gx, gy, kps):
         & (sx.max(axis=1) < width - 1) & (sy.max(axis=1) < height - 1)
     )
     sx, sy, theta = sx[inside], sy[inside], theta[inside]
-    gxs = _bilinear(gx, sx, sy)
-    gys = _bilinear(gy, sx, sy)
+    taps = _bilinear_taps(sx, sy, width)
+    gxs = _bilinear(gx, taps)
+    gys = _bilinear(gy, taps)
     mag = np.hypot(gxs, gys) * _DESC_GAUSS
     ang = np.mod(np.arctan2(gys, gxs) - theta, 2.0 * np.pi)
-    obin = ang / (2.0 * np.pi) * DESC_BINS
+    n = len(gxs)
+    grid = (n, DESC_WINDOW, DESC_WINDOW)
+    obin = (ang / (2.0 * np.pi) * DESC_BINS).reshape(grid)
     o0 = np.floor(obin).astype(int)
     fo = obin - o0
+    orientation_corners = ((o0 % DESC_BINS, 1 - fo), ((o0 + 1) % DESC_BINS, fo))
+    mag = mag.reshape(grid)
 
     # (K, terms) weights and bins, corner-major within each row, so one
-    # bincount adds every bin's terms in the per-keypoint order
-    weights, bins = [], []
-    for sel, wr, wc, cell in _SPATIAL_CORNERS:
-        spatial = mag[:, sel] * wr * wc
-        for do, wo in ((0, 1 - fo), (1, fo)):
-            weights.append(spatial * wo[:, sel])
-            bins.append(cell + (o0[:, sel] + do) % DESC_BINS)
-    n = len(mag)
-    offsets = np.arange(n)[:, None] * DESC_SIZE
-    hist = np.bincount(
-        (np.concatenate(bins, axis=1) + offsets).ravel(),
-        np.concatenate(weights, axis=1).ravel(),
-        minlength=n * DESC_SIZE,
-    ).reshape(n, DESC_SIZE)
+    # bincount adds every bin's terms in the per-keypoint order; each corner
+    # writes its rectangle of samples, in row-major order, into its columns
+    weights = np.empty((n, _DESC_TERMS))
+    bins = np.empty((n, _DESC_TERMS), dtype=np.intp)
+    col = 0
+    for rows, cols, wr, wc, cell in _SPATIAL_CORNERS:
+        spatial = mag[:, rows, cols] * wr * wc
+        for obins, wo in orientation_corners:
+            span = slice(col, col + cell.size)
+            weights[:, span] = (spatial * wo[:, rows, cols]).reshape(n, cell.size)
+            bins[:, span] = (cell + obins[:, rows, cols]).reshape(n, cell.size)
+            col += cell.size
+    bins += np.arange(n)[:, None] * DESC_SIZE
+    hist = np.bincount(bins.ravel(), weights.ravel(), minlength=n * DESC_SIZE).reshape(n, DESC_SIZE)
 
-    norms = np.array([np.linalg.norm(h) for h in hist])
+    norms = _row_norms(hist)
     nonzero = norms >= 1e-12
     clipped = np.minimum(hist[nonzero] / norms[nonzero, None], DESC_CLIP)
-    clipped /= np.array([np.linalg.norm(c) for c in clipped])[:, None]
+    clipped /= _row_norms(clipped)[:, None]
     kept = inside.copy()
     kept[inside] = nonzero
     return kept, clipped
+
+
+def _row_norms(m):
+    """np.linalg.norm of each row of m, bit for bit: the same row dot product."""
+    return np.sqrt(m[:, None, :] @ m[:, :, None]).reshape(-1)
 
 
 def compute_descriptors(pyramid: ScaleSpace, keypoints: np.ndarray) -> FrameFeatures:

@@ -357,11 +357,28 @@ def _ssim_window_filter(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return _conv_valid_axis(_conv_valid_axis(img, kernel, 0), kernel, 1)
 
 
-def ssim(a: Frame, b: Frame) -> float:
+def _ssim_kernel() -> np.ndarray:
+    radius = (SSIM_WINDOW - 1) // 2
+    xs = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (xs / SSIM_SIGMA) ** 2)
+    return k / k.sum()
+
+
+_SSIM_KERNEL = _ssim_kernel()
+
+
+def _ssim_moments(x: np.ndarray):
+    """Window means of x and of x*x: what SSIM needs of one frame alone."""
+    return _ssim_window_filter(x, _SSIM_KERNEL), _ssim_window_filter(x * x, _SSIM_KERNEL)
+
+
+def ssim(a: Frame, b: Frame, *, _moments_a=None) -> float:
     """Structural similarity between two equally sized frames.
 
     Gaussian-weighted 11x11 windows (sigma 1.5), dynamic range 1.0, mean
     over all fully valid window positions. Returns a value in [-1, 1].
+    `_moments_a`, when given, is _ssim_moments(a.pixels), computed once by
+    a caller that compares one frame with many.
     """
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError(
@@ -372,16 +389,11 @@ def ssim(a: Frame, b: Frame) -> float:
         raise ValueError(f"ssim requires min dimension >= {SSIM_WINDOW}")
     x = a.pixels
     y = b.pixels
-    radius = (SSIM_WINDOW - 1) // 2
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (xs / SSIM_SIGMA) ** 2)
-    k /= k.sum()
-
-    mu_x = _ssim_window_filter(x, k)
-    mu_y = _ssim_window_filter(y, k)
-    var_x = _ssim_window_filter(x * x, k) - mu_x * mu_x
-    var_y = _ssim_window_filter(y * y, k) - mu_y * mu_y
-    cov_xy = _ssim_window_filter(x * y, k) - mu_x * mu_y
+    mu_x, xx = _ssim_moments(x) if _moments_a is None else _moments_a
+    mu_y, yy = _ssim_moments(y)
+    var_x = xx - mu_x * mu_x
+    var_y = yy - mu_y * mu_y
+    cov_xy = _ssim_window_filter(x * y, _SSIM_KERNEL) - mu_x * mu_y
 
     num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov_xy + SSIM_C2)
     den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
@@ -391,9 +403,12 @@ def ssim(a: Frame, b: Frame) -> float:
 def motion_level(frames: list[Frame]) -> float:
     """Mean SSIM between the first frame and each later frame.
 
-    Lower values mean more motion; a static sequence scores 1.0.
+    Lower values mean more motion; a static sequence scores 1.0. The first
+    frame's window moments are computed once for all comparisons.
     """
     if len(frames) < 2:
         raise ValueError(f"motion_level needs at least 2 frames, got {len(frames)}")
     first = frames[0]
-    return float(np.mean([ssim(first, f) for f in frames[1:]]))
+    # a frame too small for one window gets ssim's own error
+    moments = _ssim_moments(first.pixels) if min(first.height, first.width) >= SSIM_WINDOW else None
+    return float(np.mean([ssim(first, f, _moments_a=moments) for f in frames[1:]]))

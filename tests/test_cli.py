@@ -200,6 +200,15 @@ def _malformed_run(case, ws, tmp):
         bad = tmp / "bad_scores.jsonl"
         write_jsonl(bad, records, header)
         return ["rank", "--scores", str(bad), "--groups", str(groups), "--output", out], bad
+    if case in ("scores_duplicate_video_id", "scores_break_an_invariant"):
+        header, records = read_jsonl(scores)
+        if case == "scores_duplicate_video_id":
+            records.append(dict(records[0]))
+        else:
+            records[0]["consistency_score"] = 0.5
+        bad = tmp / "bad_scores.jsonl"
+        write_jsonl(bad, records, header)
+        return ["rank", "--scores", str(bad), "--groups", str(groups), "--output", out], bad
     if case == "latent_items_not_a_list":
         bad = _write_json(tmp / "latents.json", {"items": 3})
         return ["dpo-demo", "--latents", str(bad), "--out", out], bad
@@ -258,6 +267,8 @@ def _malformed_run(case, ws, tmp):
     ("video_ids_not_a_list", "'video_ids'"),
     ("video_ids_holds_a_list", "'video_ids'"),
     ("scores_video_id_is_a_list", "'video_id'"),
+    ("scores_duplicate_video_id", "video_id 'clean' appears more than once"),
+    ("scores_break_an_invariant", "video 'clean': consistency_score must equal"),
     ("manifest_dir_not_a_string", "'dir'"),
     ("latent_items_not_a_list", "'items'"),
     ("scores_line_not_json", "line 3"),

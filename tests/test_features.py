@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigeo import features
 from epigeo.features import (
@@ -249,28 +251,13 @@ class TestKeypointArray:
         assert kps.dtype == KEYPOINT_DTYPE and kps.ndim == 1
         assert compute_descriptors(pyr, kps).keypoints.dtype == KEYPOINT_DTYPE
 
-    def test_stable_descending_response(self, detected, monkeypatch):
+    def test_stable_descending_response(self, detected):
         pyr, kps = detected
-        # record the rows in detection order: one per orientation returned
-        seen = []
-        orientations = features._orientations
-
-        def recording(gx, gy, x, y, sigma_local):
-            thetas = orientations(gx, gy, x, y, sigma_local)
-            seen.extend((float(x), float(y), float(sigma_local), t) for t in thetas)
-            return thetas
-
-        monkeypatch.setattr(features, "_orientations", recording)
-        assert np.array_equal(detect_keypoints(pyr, max_keypoints=100000), kps)
-        slots = {}
-        for i, key in enumerate(seen):
-            slots.setdefault(key, []).append(i)
-        keys = zip(*(kps[f].tolist() for f in ("x_octave", "y_octave", "sigma_local", "orientation")))
-        detection_index = np.array([slots[key].pop(0) for key in keys])
-        response = np.empty(len(kps))
-        response[detection_index] = kps["response"]
+        # the rows in detection order: extremum order, one per orientation
+        rows = reference_detection_rows(pyr)
+        response = rows["response"]
         assert (response[:-1] == response[1:]).any()  # ties exist
-        assert np.array_equal(detection_index, np.argsort(-response, kind="stable"))
+        assert np.array_equal(kps, rows[np.argsort(-response, kind="stable")])
         # so every cap is a prefix of the uncapped result
         for cap in (1, 10, len(kps) // 2):
             assert np.array_equal(detect_keypoints(pyr, max_keypoints=cap), kps[:cap])
@@ -324,6 +311,346 @@ class TestKeypointArray:
             compute_descriptors(pyr, kp)
 
 
+def reference_local_extrema(stack, prefilter):
+    """The former extrema search: 26 whole-array shifts with an early exit."""
+    center = stack[1:-1, 1:-1, 1:-1]
+    is_max = np.abs(center) > prefilter
+    is_min = is_max.copy()
+    for ds in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if ds == dy == dx == 0:
+                    continue
+                neigh = stack[
+                    1 + ds : stack.shape[0] - 1 + ds,
+                    1 + dy : stack.shape[1] - 1 + dy,
+                    1 + dx : stack.shape[2] - 1 + dx,
+                ]
+                is_max &= center > neigh
+                is_min &= center < neigh
+                if not (is_max.any() or is_min.any()):
+                    return np.empty((0, 3), dtype=np.int64)
+    return np.argwhere(is_max | is_min) + 1
+
+
+def reference_grad_hessian(stack, s, y, x):
+    g = np.array(
+        [
+            (stack[s + 1, y, x] - stack[s - 1, y, x]) / 2.0,
+            (stack[s, y + 1, x] - stack[s, y - 1, x]) / 2.0,
+            (stack[s, y, x + 1] - stack[s, y, x - 1]) / 2.0,
+        ]
+    )
+    c = stack[s, y, x]
+    dss = stack[s + 1, y, x] + stack[s - 1, y, x] - 2 * c
+    dyy = stack[s, y + 1, x] + stack[s, y - 1, x] - 2 * c
+    dxx = stack[s, y, x + 1] + stack[s, y, x - 1] - 2 * c
+    dsy = (stack[s + 1, y + 1, x] - stack[s + 1, y - 1, x]
+           - stack[s - 1, y + 1, x] + stack[s - 1, y - 1, x]) / 4.0
+    dsx = (stack[s + 1, y, x + 1] - stack[s + 1, y, x - 1]
+           - stack[s - 1, y, x + 1] + stack[s - 1, y, x - 1]) / 4.0
+    dyx = (stack[s, y + 1, x + 1] - stack[s, y + 1, x - 1]
+           - stack[s, y - 1, x + 1] + stack[s, y - 1, x - 1]) / 4.0
+    h = np.array([[dss, dsy, dsx], [dsy, dyy, dyx], [dsx, dyx, dxx]])
+    return g, h
+
+
+def reference_refine(stack, s, y, x, n_layers, height, width):
+    """The former per-extremum refinement; (s, y, x, offset, value) or None."""
+    for _ in range(5):
+        g, h = reference_grad_hessian(stack, s, y, x)
+        try:
+            offset = -np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            return None
+        if np.all(np.abs(offset) <= 0.5):
+            value = stack[s, y, x] + 0.5 * float(g @ offset)
+            return s, y, x, offset, value
+        s += int(np.round(offset[0]))
+        y += int(np.round(offset[1]))
+        x += int(np.round(offset[2]))
+        if not (1 <= s < n_layers - 1 and 1 <= y < height - 1 and 1 <= x < width - 1):
+            return None
+    return None
+
+
+def reference_orientations(gx, gy, x, y, sigma_local):
+    """The former per-keypoint orientation histogram and peak loop."""
+    height, width = gx.shape
+    radius = max(int(np.round(4.5 * sigma_local)), 1)
+    cx, cy = int(np.round(x)), int(np.round(y))
+    x0, x1 = max(cx - radius, 0), min(cx + radius + 1, width)
+    y0, y1 = max(cy - radius, 0), min(cy + radius + 1, height)
+    if x1 <= x0 or y1 <= y0:
+        return []
+    wx = gx[y0:y1, x0:x1]
+    wy = gy[y0:y1, x0:x1]
+    xs = np.arange(x0, x1, dtype=np.float64) - x
+    ys = np.arange(y0, y1, dtype=np.float64) - y
+    d2 = ys[:, None] ** 2 + xs[None, :] ** 2
+    weight = np.exp(-d2 / (2.0 * (1.5 * sigma_local) ** 2)) * np.hypot(wx, wy)
+    mask = d2 <= radius**2
+    angles = np.mod(np.arctan2(wy, wx), 2.0 * np.pi)
+    bins = np.minimum((angles / (2.0 * np.pi) * 36).astype(int), 35)
+    hist = np.bincount(bins[mask].ravel(), weights=weight[mask].ravel(), minlength=36)
+    for _ in range(2):
+        hist = (np.roll(hist, 1) + hist + np.roll(hist, -1)) / 3.0
+    peak = hist.max()
+    if peak <= 0:
+        return []
+    out = []
+    for b in range(36):
+        left, right = hist[(b - 1) % 36], hist[(b + 1) % 36]
+        if hist[b] >= 0.8 * peak and hist[b] > left and hist[b] > right:
+            denom = left - 2.0 * hist[b] + right
+            delta = 0.5 * (left - right) / denom if denom != 0 else 0.0
+            theta = (b + 0.5 + delta) * (2.0 * np.pi / 36)
+            out.append(theta % (2.0 * np.pi))
+    return out
+
+
+def reference_detection_rows(pyramid, contrast_threshold=0.03, edge_ratio_threshold=10.0,
+                             refine=reference_refine):
+    """The former per-keypoint detector's rows, in detection order (before
+    the response sort): extremum by extremum, one row per orientation."""
+    r = edge_ratio_threshold
+    edge_limit = (r + 1.0) ** 2 / r
+    rows = []
+    for o in range(pyramid.octaves):
+        stack = np.stack(pyramid.dogs[o])
+        n_layers, height, width = stack.shape
+        for s, y, x in reference_local_extrema(stack, 0.5 * contrast_threshold):
+            refined = refine(stack, int(s), int(y), int(x), n_layers, height, width)
+            if refined is None:
+                continue
+            s0, y0, x0, offset, value = refined
+            if abs(value) < contrast_threshold:
+                continue
+            d = stack[s0]
+            dxx = d[y0, x0 + 1] + d[y0, x0 - 1] - 2 * d[y0, x0]
+            dyy = d[y0 + 1, x0] + d[y0 - 1, x0] - 2 * d[y0, x0]
+            dxy = (d[y0 + 1, x0 + 1] - d[y0 + 1, x0 - 1]
+                   - d[y0 - 1, x0 + 1] + d[y0 - 1, x0 - 1]) / 4.0
+            det = dxx * dyy - dxy * dxy
+            trace = dxx + dyy
+            if det <= 0 or trace * trace / det >= edge_limit:
+                continue
+            x_oct = x0 + offset[2]
+            y_oct = y0 + offset[1]
+            x_img = x_oct * 2**o
+            y_img = y_oct * 2**o
+            if not (0 <= x_img < pyramid.width and 0 <= y_img < pyramid.height):
+                continue
+            sigma_local = pyramid.sigma_local(s0 + offset[0])
+            gx, gy = features._gradients(pyramid.gaussians[o][s0])
+            for theta in reference_orientations(gx, gy, x_oct, y_oct, sigma_local):
+                rows.append((x_img, y_img, sigma_local * 2**o, theta, abs(value),
+                             o, s0, x_oct, y_oct, sigma_local))
+    return np.array(rows, dtype=KEYPOINT_DTYPE)
+
+
+def reference_detect(pyramid, contrast_threshold=0.03, edge_ratio_threshold=10.0,
+                     max_keypoints=2000):
+    rows = reference_detection_rows(pyramid, contrast_threshold, edge_ratio_threshold)
+    return rows[np.argsort(-rows["response"], kind="stable")[:max_keypoints]]
+
+
+def assert_same_keypoints(got, want):
+    assert got.dtype == KEYPOINT_DTYPE and got.shape == want.shape
+    for name in KEYPOINT_DTYPE.names:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def random_pyramid(seed, height=24, width=40):
+    """A hand-built two-octave pyramid of random Gaussian and DoG levels."""
+    rng = np.random.default_rng(seed)
+    shapes = [(height, width), (height // 2, width // 2)]
+    gaussians = [[rng.random(shape) for _ in range(6)] for shape in shapes]
+    dogs = [[rng.normal(0.0, 0.1, shape) for _ in range(5)] for shape in shapes]
+    return features.ScaleSpace(gaussians, dogs, 2, 3, 1.6, width, height)
+
+
+def planted_pyramid():
+    """A hand-built one-octave pyramid: two DoG maxima on level 2, one with a
+    nonsingular Hessian at (10, 10) and one with a singular Hessian at
+    (21, 21), over noise below the extrema prefilter."""
+    rng = np.random.default_rng(4)
+    dogs = rng.uniform(-0.004, 0.004, size=(5, 32, 32))
+    ds, dy, dx = np.mgrid[-1:2, -1:2, -1:2]
+    dogs[1:4, 9:12, 9:12] = np.exp(-(ds**2 + dy**2 + dx**2) / 2.0)
+    # dss = dyy = dxx = dsy = -0.25 exactly, no other cross term: det(h) = 0
+    blob = np.full((3, 3, 3), 0.5)
+    blob[1, 1, 1] = 1.0
+    blob[0, 1, 1] = blob[2, 1, 1] = blob[1, 0, 1] = blob[1, 2, 1] = 0.875
+    blob[1, 1, 0] = blob[1, 1, 2] = 0.875
+    blob[2, 2, 1] = blob[0, 0, 1] = 0.25
+    blob[2, 0, 1] = blob[0, 2, 1] = 0.75
+    dogs[1:4, 20:23, 20:23] = blob
+    gaussians = [rng.random((32, 32)) for _ in range(6)]
+    return features.ScaleSpace([gaussians], [list(dogs)], 1, 3, 1.6, 32, 32)
+
+
+class TestDetectAgainstReference:
+    """detect_keypoints against the former per-keypoint detector, bit for bit."""
+
+    @pytest.mark.parametrize("octaves", [1, 2, 3])
+    def test_dot_frames(self, octaves):
+        # small and large dots, so keypoints come from several levels
+        _, small = dot_grid(n=50, seed=octaves, dot_sigma=2.0)
+        _, large = dot_grid(n=9, seed=octaves + 10, spacing=80, dot_sigma=4.0 * octaves)
+        frame = Frame((small.pixels + large.pixels) / 2.0)
+        pyr = build_scale_space(frame, octaves=octaves)
+        want = reference_detect(pyr, max_keypoints=100000)
+        assert len(want) > 20 and np.unique(want["level"]).size > 1
+        assert want["octave"].max() == octaves - 1
+        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=100000), want)
+
+    def test_detection_order_when_every_response_ties(self, monkeypatch):
+        # with one response for all, the final stable sort keeps the
+        # detection order, so the output shows it
+        _, small = dot_grid(n=50, seed=13, dot_sigma=2.0)
+        _, large = dot_grid(n=9, seed=14, spacing=80, dot_sigma=8.0)
+        pyr = build_scale_space(Frame((small.pixels + large.pixels) / 2.0), octaves=2)
+
+        def tied_reference(*args):
+            refined = reference_refine(*args)
+            return None if refined is None else refined[:4] + (1.0,)
+
+        want = reference_detection_rows(pyr, refine=tied_reference)
+        assert np.unique(want["level"]).size > 1 and np.all(want["response"] == 1.0)
+        refine = features._refine
+
+        def tied_and_reversed(stack, extrema):
+            row, pos, offset, value, h = refine(stack, extrema)
+            back = np.arange(len(row))[::-1]
+            return row[back], pos[back], offset[back], np.ones(len(row)), h[back]
+
+        monkeypatch.setattr(features, "_refine", tied_and_reversed)
+        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=100000), want)
+
+    def test_orientations_of_many_keypoints(self):
+        # random positions, the border included, and scales over many radii
+        _, frame = dot_grid(n=50, seed=15, tex=0.05)
+        gx, gy = features._gradients(build_scale_space(frame, octaves=1).gaussians[0][2])
+        rng = np.random.default_rng(15)
+        n = 2000
+        x, y = rng.uniform(0, 255, n), rng.uniform(0, 255, n)
+        sigma = rng.uniform(0.1, 4.0, n)
+        # some where the window spread's array power and scalar power round
+        # differently (about 1 in 1200)
+        pool = rng.uniform(0.5, 4.0, 400000)
+        differ = pool[2.0 * (1.5 * pool) ** 2 != [2.0 * (1.5 * v) ** 2 for v in pool]]
+        sigma[:200] = differ[:200]
+        got_k, got_theta = features._orientations(gx, gy, x, y, sigma)
+        want = [(k, t) for k in range(n)
+                for t in reference_orientations(gx, gy, x[k], y[k], sigma[k])]
+        assert np.array_equal(got_k, [k for k, _ in want])
+        assert np.array_equal(got_theta, [t for _, t in want])
+
+    def test_orientation_blocks(self, monkeypatch):
+        _, frame = dot_grid(n=50, seed=11)
+        pyr = build_scale_space(frame, octaves=2)
+        want = reference_detect(pyr, max_keypoints=100000)
+        monkeypatch.setattr(features, "ORI_BLOCK_KEYPOINTS", 3)
+        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=100000), want)
+
+    @pytest.mark.parametrize("cap", [1, 7, 40])
+    def test_caps(self, cap):
+        _, frame = dot_grid(n=50, seed=9)
+        pyr = build_scale_space(frame, octaves=2)
+        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=cap),
+                              reference_detect(pyr, max_keypoints=cap))
+
+    def test_thresholds(self):
+        _, frame = dot_grid(n=50, seed=10, tex=0.05)
+        pyr = build_scale_space(frame, octaves=2)
+        for contrast, edge in ((0.0, 10.0), (0.01, 3.0), (0.08, 30.0)):
+            assert_same_keypoints(detect_keypoints(pyr, contrast, edge, 100000),
+                                  reference_detect(pyr, contrast, edge, 100000))
+
+    def test_max_dim(self):
+        _, frame = dot_grid(n=30, size=256, spacing=28, dot_sigma=6.0)
+        work, scale = resize_max_dim(frame, 160)
+        assert scale != 1.0
+        pyr = build_scale_space(work, octaves=2)
+        assert_same_keypoints(detect_keypoints(pyr), reference_detect(pyr))
+
+    def test_singular_hessian_drops_only_its_own_extremum(self):
+        pyr = planted_pyramid()
+        stack = np.stack(pyr.dogs[0])
+        extrema = features._local_extrema(stack, 0.015)
+        assert extrema.tolist() == [[2, 10, 10], [2, 21, 21]]
+        g, h = features._grad_hessian(stack.ravel(), np.array([2 * 32 * 32 + 21 * 32 + 21]), 32, 32)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(h[0], g[0])
+        want = reference_detect(pyr)
+        assert len(want) > 0 and np.all(np.hypot(want["x"] - 10, want["y"] - 10) < 1)
+        assert_same_keypoints(detect_keypoints(pyr), want)
+
+    def test_solve_offsets_falls_back_row_by_row(self):
+        rng = np.random.default_rng(12)
+        h = rng.normal(size=(6, 3, 3))
+        h = h + h.transpose(0, 2, 1)
+        h[[1, 4]] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+        g = rng.normal(size=(6, 3))
+        offsets, solved = features._solve_offsets(h, g)
+        assert solved.tolist() == [True, False, True, True, False, True]
+        for k in np.flatnonzero(solved):
+            assert np.array_equal(offsets[k], -np.linalg.solve(h[k], g[k]))
+        stacked, all_solved = features._solve_offsets(h[solved], g[solved])
+        assert all_solved.all() and np.array_equal(stacked, offsets[solved])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pyramids_with_extrema_at_the_border(self, seed):
+        # random DoG values have extrema everywhere, on the interior's outer
+        # rows and columns too; refinement moves many of them out
+        pyr = random_pyramid(seed)
+        for o in range(pyr.octaves):
+            stack = np.stack(pyr.dogs[o])
+            extrema = reference_local_extrema(stack, 0.015)
+            last = np.array(stack.shape) - 2
+            assert np.any(extrema[:, 1:] == 1) and np.any(extrema[:, 1:] == last[1:])
+            assert np.array_equal(features._local_extrema(stack, 0.015), extrema)
+        want = reference_detect(pyr, max_keypoints=100000)
+        near = np.minimum(want["x_octave"], want["y_octave"]) < 2
+        assert near.any() and np.unique(want["octave"]).size == 2
+        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=100000), want)
+
+    def test_constant_image(self):
+        pyr = build_scale_space(Frame(np.full((64, 64), 0.4)), octaves=1)
+        assert_same_keypoints(detect_keypoints(pyr), reference_detect(pyr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(3, 5), st.integers(3, 9), st.integers(3, 9)),
+    levels=st.integers(2, 5),
+    prefilter=st.sampled_from([0.0, 0.5, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_local_extrema_equals_the_26_shift_loop(shape, levels, prefilter, seed):
+    # few distinct values: ties and plateaus between neighbours are common
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(-levels, levels + 1, size=shape).astype(np.float64)
+    got = features._local_extrema(stack, prefilter)
+    want = reference_local_extrema(stack, prefilter)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def reference_bilinear(img, xs, ys):
+    """The former bilinear sampler, indexing the image in two dimensions."""
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    fx = xs - x0
+    fy = ys - y0
+    return (
+        img[y0, x0] * (1 - fy) * (1 - fx)
+        + img[y0, x0 + 1] * (1 - fy) * fx
+        + img[y0 + 1, x0] * fy * (1 - fx)
+        + img[y0 + 1, x0 + 1] * fy * fx
+    )
+
+
 def one_descriptor(gx, gy, kp):
     """The former per-keypoint descriptor: np.add.at over eight trilinear corners."""
     height, width = gx.shape
@@ -335,8 +662,8 @@ def one_descriptor(gx, gy, kp):
     sy = kp["y_octave"] + sin_t * u + cos_t * v
     if sx.min() < 0 or sy.min() < 0 or sx.max() >= width - 1 or sy.max() >= height - 1:
         return None
-    gxs = features._bilinear(gx, sx, sy)
-    gys = features._bilinear(gy, sx, sy)
+    gxs = reference_bilinear(gx, sx, sy)
+    gys = reference_bilinear(gy, sx, sy)
     mag = np.hypot(gxs, gys) * features._DESC_GAUSS
     ang = np.mod(np.arctan2(gys, gxs) - kp["orientation"], 2.0 * np.pi)
     obin = ang / (2.0 * np.pi) * 8

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from epigeo import image
 from epigeo.image import (
     DecodeError,
     Frame,
@@ -460,6 +461,30 @@ class TestMotionLevel:
         frames = [Frame(rng.random((32, 32))) for _ in range(4)]
         expected = np.mean([ssim(frames[0], f) for f in frames[1:]])
         assert motion_level(frames) == pytest.approx(expected, abs=1e-15)
+
+    def test_equals_the_mean_of_one_ssim_call_per_later_frame(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        frames = [Frame(rng.random((40, 52))) for _ in range(5)]
+        expected = float(np.mean([ssim(frames[0], f) for f in frames[1:]]))
+        calls = []
+
+        def counting(a, b, **kwargs):
+            calls.append(b)
+            return ssim(a, b, **kwargs)
+
+        monkeypatch.setattr(image, "ssim", counting)
+        assert motion_level(frames) == expected
+        assert len(calls) == len(frames) - 1
+        assert all(seen is f for seen, f in zip(calls, frames[1:]))
+
+    def test_later_frame_of_another_size_is_rejected(self):
+        frames = [Frame(np.zeros((16, 16))), Frame(np.zeros((16, 17)))]
+        with pytest.raises(ValueError, match="identical dimensions"):
+            motion_level(frames)
+
+    def test_frames_below_one_window_are_rejected(self):
+        with pytest.raises(ValueError, match="min dimension"):
+            motion_level([Frame(np.zeros((10, 16))), Frame(np.zeros((10, 16)))])
 
     def test_moving_scene_scores_lower(self):
         base = np.random.default_rng(9).random((48, 48))

@@ -15,7 +15,9 @@ and bounds gates are array masks. Orientation histograms are gathered per
 (octave, level) and window radius, one bincount per block, and their peaks
 found with array ops. Descriptors are built per (octave, level) block the
 same way. Scalars whose array form can round differently (powers of
-sigma) are still computed per keypoint.
+sigma) are still computed per keypoint. extract_features differentiates
+each Gaussian level once: detection hands the gradients of the levels that
+hold its keypoints to description.
 
 A keypoint set is an (N,) array of KEYPOINT_DTYPE, one row per keypoint,
 from detection through descriptors to matching; compute_descriptors rejects
@@ -335,13 +337,17 @@ def detect_keypoints(
     contrast_threshold: float = 0.03,
     edge_ratio_threshold: float = 10.0,
     max_keypoints: int = 2000,
+    *,
+    gradients: dict | None = None,
 ) -> np.ndarray:
     """DoG extrema with subpixel refinement, contrast/edge gates, orientations.
 
     Returns an (N,) KEYPOINT_DTYPE array in stable descending-response order,
     at most max_keypoints rows; before that sort, rows run in extremum order
     (by octave, then np.argwhere order) and by ascending orientation bin
-    within an extremum. An empty array is a valid result.
+    within an extremum. An empty array is a valid result. `gradients`, when
+    given, is a dict that receives the _gradients (gx, gy) of each
+    (octave, level) holding a returned keypoint, for compute_descriptors.
     """
     r = edge_ratio_threshold
     edge_limit = (r + 1.0) ** 2 / r
@@ -368,6 +374,8 @@ def detect_keypoints(
         for s in np.unique(pos[keep, 0]):
             members = keep[pos[keep, 0] == s]
             gx, gy = _gradients(pyramid.gaussians[o][s])
+            if gradients is not None:
+                gradients[o, int(s)] = gx, gy
             k, theta = _orientations(
                 gx, gy, x_oct[members], y_oct[members], sigma_local[members])
             peaks.append(members[k])
@@ -383,7 +391,12 @@ def detect_keypoints(
         rows["x_octave"], rows["y_octave"], rows["sigma_local"] = x_oct[k], y_oct[k], sigma_local[k]
         found.append(rows)
     rows = np.concatenate(found)
-    return rows[np.argsort(-rows["response"], kind="stable")[:max_keypoints]]
+    rows = rows[np.argsort(-rows["response"], kind="stable")[:max_keypoints]]
+    if gradients is not None:
+        held = set(zip(rows["octave"].tolist(), rows["level"].tolist()))
+        for level in set(gradients) - held:
+            del gradients[level]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +543,18 @@ def _row_norms(m):
     return np.sqrt(m[:, None, :] @ m[:, :, None]).reshape(-1)
 
 
-def compute_descriptors(pyramid: ScaleSpace, keypoints: np.ndarray) -> FrameFeatures:
+def compute_descriptors(
+    pyramid: ScaleSpace, keypoints: np.ndarray, *, gradients: dict | None = None
+) -> FrameFeatures:
     """Descriptors for keypoints whose sample window fits their octave image.
 
     `keypoints` must be an (N,) KEYPOINT_DTYPE array; anything else is a
     TypeError, and an octave or level the pyramid lacks is a ValueError.
     Returns FrameFeatures: kept keypoints in input order, their (N, 128)
     descriptor rows, and the count of keypoints skipped because the window
-    left the image (or, degenerately, held no gradient).
+    left the image (or, degenerately, held no gradient). `gradients` maps
+    (octave, level) to the (gx, gy) detect_keypoints filled in; a level it
+    lacks is differentiated here.
     """
     if not (isinstance(keypoints, np.ndarray) and keypoints.dtype == KEYPOINT_DTYPE
             and keypoints.ndim == 1):
@@ -548,8 +565,9 @@ def compute_descriptors(pyramid: ScaleSpace, keypoints: np.ndarray) -> FrameFeat
         raise ValueError("keypoint octave or level lies outside the pyramid")
     kept = np.zeros(len(keypoints), dtype=bool)
     desc = np.empty((len(keypoints), DESC_SIZE))
-    for o, s in np.unique(np.column_stack([octave, level]), axis=0):
-        gx, gy = _gradients(pyramid.gaussians[o][s])
+    for o, s in np.unique(np.column_stack([octave, level]), axis=0).tolist():
+        known = gradients.get((o, s)) if gradients else None
+        gx, gy = known if known is not None else _gradients(pyramid.gaussians[o][s])
         members = np.flatnonzero((octave == o) & (level == s))
         for start in range(0, len(members), DESC_BLOCK_KEYPOINTS):
             block = members[start : start + DESC_BLOCK_KEYPOINTS]
@@ -613,13 +631,19 @@ def extract_features(frame: Frame, params: FeatureParams | None = None) -> Frame
     pyramid = build_scale_space(
         work, params.octaves, params.scales_per_octave, params.base_sigma
     )
+    # each level is differentiated once, for orientations and descriptors
+    gradients = {}
     kps = detect_keypoints(
         pyramid,
         params.contrast_threshold,
         params.edge_ratio_threshold,
         params.max_keypoints,
+        gradients=gradients,
     )
-    feats = compute_descriptors(pyramid, kps)
+    # description reads no DoG level: free them before its temporaries, which
+    # outweigh the gradients handed over
+    pyramid.dogs.clear()
+    feats = compute_descriptors(pyramid, kps, gradients=gradients)
     if scale != 1.0:
         # report positions in original-frame pixels
         for field in ("x", "y", "scale"):

@@ -231,6 +231,17 @@ def _malformed_run(case, ws, tmp):
         bad.write_bytes(b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + ihdr
                         + struct.pack(">I", zlib.crc32(ihdr)))
         return ["score", str(frames), "--output", out], bad
+    if case == "png_dimensions_past_the_limit":
+        frames = tmp / "video"
+        frames.mkdir()
+        bad = frames / "frame_000.png"
+        # 4294967295x4294967295 16-bit RGB: past the PNG limit of 2^31 - 1
+        ihdr = b"IHDR" + struct.pack(">IIBBBBB", 2**32 - 1, 2**32 - 1, 16, 2, 0, 0, 0)
+        idat = b"IDAT" + zlib.compress(bytes(7))
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n"
+                        + b"".join(struct.pack(">I", len(c) - 4) + c + struct.pack(">I", zlib.crc32(c))
+                                   for c in (ihdr, idat, b"IEND")))
+        return ["score", str(frames), "--output", out], bad
     if case in ("pgm_sample_above_maxval", "video_with_one_frame", "video_with_mixed_sizes"):
         frames = tmp / case
         frames.mkdir()
@@ -274,6 +285,7 @@ def _malformed_run(case, ws, tmp):
     ("scores_line_not_json", "line 3"),
     ("config_not_json", "line 1"),
     ("truncated_png_frame", "truncated PNG chunk"),
+    ("png_dimensions_past_the_limit", "invalid PNG dimensions 4294967295x4294967295 (byte offset 16)"),
     ("pgm_sample_above_maxval", "exceeds maxval 100 (byte offset 12)"),
     ("video_with_one_frame", "video 'video_with_one_frame': need at least 2 frames"),
     ("video_with_mixed_sizes", "video 'video_with_mixed_sizes': frame 1 dimensions differ"),

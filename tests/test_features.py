@@ -922,3 +922,42 @@ class TestExtractAndCache:
         pos = positions(feats.keypoints)
         assert np.array_equal(pa, pos[pairs[:, 0]])
         assert np.array_equal(pb, pos[pairs[:, 1]])
+
+    @pytest.mark.parametrize("max_keypoints", [2000, 7])
+    def test_each_level_is_differentiated_once(self, monkeypatch, max_keypoints):
+        _, frame = dot_grid(n=30, size=192, spacing=24)
+        pyramid = build_scale_space(frame, octaves=3)
+        alone = compute_descriptors(pyramid, detect_keypoints(pyramid, max_keypoints=max_keypoints))
+        differentiated = []
+        gradients = features._gradients
+
+        def spy(img):
+            differentiated.append(img)
+            return gradients(img)
+
+        monkeypatch.setattr(features, "_gradients", spy)
+        detect_keypoints(pyramid, max_keypoints=max_keypoints)
+        by_detection = len(differentiated)
+        differentiated.clear()
+        shared = extract_features(frame, FeatureParams(octaves=3, max_keypoints=max_keypoints))
+        # description differentiates no level again; the images stay
+        # referenced, so their ids are distinct while compared
+        assert len(differentiated) == by_detection
+        assert len({id(img) for img in differentiated}) == by_detection
+        assert shared.keypoints.tobytes() == alone.keypoints.tobytes()
+        assert shared.descriptors.tobytes() == alone.descriptors.tobytes()
+        assert shared.skipped == alone.skipped
+
+    def test_detection_hands_over_the_levels_of_its_keypoints(self):
+        _, frame = dot_grid(n=30, size=192, spacing=24)
+        pyramid = build_scale_space(frame, octaves=3)
+        gradients = {}
+        kps = detect_keypoints(pyramid, max_keypoints=3, gradients=gradients)
+        levels = set(zip(kps["octave"].tolist(), kps["level"].tolist()))
+        assert set(gradients) == levels
+        for (o, s), (gx, gy) in gradients.items():
+            expected = features._gradients(pyramid.gaussians[o][s])
+            assert np.array_equal(gx, expected[0]) and np.array_equal(gy, expected[1])
+        shared = compute_descriptors(pyramid, kps, gradients=gradients)
+        alone = compute_descriptors(pyramid, kps)
+        assert shared.descriptors.tobytes() == alone.descriptors.tobytes()

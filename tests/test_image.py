@@ -3,6 +3,7 @@
 import struct
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,6 +113,14 @@ def png_unfilter_reference(raw, height, stride, bpp):
     return out
 
 
+def with_ihdr(data, width, height):
+    """PNG bytes from make_png with the IHDR width and height rewritten."""
+    body = bytearray(data)
+    body[16:24] = struct.pack(">II", width, height)
+    body[29:33] = struct.pack(">I", zlib.crc32(bytes(body[12:29])) & 0xFFFFFFFF)
+    return bytes(body)
+
+
 def expected_pixels(samples, bit_depth):
     """The decoder's conversion: scale by the maximum sample, then BT.601 for RGB."""
     s = samples.astype(np.float64) / (255.0 if bit_depth == 8 else 65535.0)
@@ -135,6 +144,19 @@ def corpus():
                 filters = [int(f) for f in rng.permutation(np.arange(height) % 5)]
                 cases.append((samples, bit_depth, color_type, filters))
     return cases
+
+
+def random_stream(rng, filters, stride):
+    """Filter bytes `filters`, one per row, each followed by `stride` random bytes."""
+    rows = rng.integers(0, 256, size=(len(filters), stride + 1), dtype=np.uint8)
+    rows[:, 0] = filters
+    return rows.tobytes()
+
+
+def assert_unfilter_matches_reference(raw, height, stride, bpp):
+    fast = _png_unfilter(raw, height, stride, bpp)
+    assert fast.dtype == np.uint8 and fast.shape == (height, stride)
+    assert np.array_equal(fast, png_unfilter_reference(raw, height, stride, bpp))
 
 
 class TestUnfilterAgainstReference:
@@ -167,6 +189,75 @@ class TestUnfilterAgainstReference:
                 _png_unfilter(raw, height, stride, bpp),
                 png_unfilter_reference(raw, height, stride, bpp),
             )
+
+    @pytest.mark.parametrize("lanes", [1, 10**9], ids=["every-level-batched", "row-by-row"])
+    @pytest.mark.parametrize("bpp", [1, 2, 3, 6])
+    def test_random_streams_on_each_path(self, bpp, lanes):
+        rng = np.random.default_rng(100 + bpp)
+        with mock.patch.dict(image.UNFILTER_BATCH_LANES, {3: lanes, 4: lanes}):
+            for height, width in CORPUS_SHAPES + [(60, 1), (60, 5)]:
+                filters = rng.integers(0, 5, size=height)
+                raw = random_stream(rng, filters, width * bpp)
+                assert_unfilter_matches_reference(raw, height, width * bpp, bpp)
+
+    @pytest.mark.parametrize("width", [1, 7])
+    @pytest.mark.parametrize("bpp", [1, 2, 3, 6])
+    @pytest.mark.parametrize("ftype", [3, 4])
+    def test_levels_on_both_sides_of_the_lane_cutoff(self, monkeypatch, ftype, bpp, width):
+        # n chains of (None or Sub, ftype) put n rows of ftype on level 1;
+        # n runs over the row counts nearest the cutoff
+        batched = []
+
+        def spy(lines, *rest):
+            batched.append(len(lines))
+            return unfilter_columns(lines, *rest)
+
+        unfilter_columns = image._unfilter_columns
+        monkeypatch.setattr(image, "_unfilter_columns", spy)
+        cutoff = image.UNFILTER_BATCH_LANES[ftype]
+        least = -(-cutoff // bpp)  # the fewest rows whose lanes reach the cutoff
+        rng = np.random.default_rng(ftype * 100 + bpp * 10 + width)
+        for n in sorted({max(least - 1, 1), least, least + 1}):
+            filters = [f for k in range(n) for f in (k % 2, ftype)]
+            height, stride = len(filters), width * bpp
+            assert height <= 60
+            batched.clear()
+            assert_unfilter_matches_reference(random_stream(rng, filters, stride), height, stride, bpp)
+            assert batched == ([n] if n * bpp >= cutoff else [])
+
+    @pytest.mark.parametrize("bpp", [1, 2, 3, 6])
+    @pytest.mark.parametrize("ftype", [2, 3, 4])
+    def test_single_filter_chains(self, ftype, bpp):
+        # one row per level: row by row at the real cutoff, one-row column
+        # passes at a cutoff of one lane
+        rng = np.random.default_rng(ftype * 10 + bpp)
+        for width in (1, 5):
+            raw = random_stream(rng, [ftype] * 60, width * bpp)
+            for lanes in (image.UNFILTER_BATCH_LANES[3], image.UNFILTER_BATCH_LANES[4], 1):
+                with mock.patch.dict(image.UNFILTER_BATCH_LANES, {3: lanes, 4: lanes}):
+                    assert_unfilter_matches_reference(raw, 60, width * bpp, bpp)
+
+    def test_invalid_filter_after_batched_rows_reports_its_row(self):
+        bpp, stride = 3, 12
+        # 12 chains put 36 Paeth lanes on level 1 and 36 Average lanes on level 2
+        filters = [0, 4, 3] * 12 + [9, 1, 4, 200]
+        assert 12 * bpp >= max(image.UNFILTER_BATCH_LANES.values())
+        raw = random_stream(np.random.default_rng(5), filters, stride)
+        with pytest.raises(DecodeError) as exc:
+            _png_unfilter(raw, len(filters), stride, bpp)
+        assert exc.value.offset == 36 * (stride + 1)
+        assert "filter type 9" in str(exc.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bpp=st.sampled_from([1, 2, 3, 6]), width=st.integers(1, 6),
+           lanes=st.integers(1, 24), data=st.data())
+    def test_random_filter_sequences_match_reference(self, bpp, width, lanes, data):
+        filters = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=60))
+        stride = width * bpp
+        body = data.draw(hnp.arrays(np.uint8, (len(filters), stride)))
+        raw = np.column_stack([np.array(filters, dtype=np.uint8), body]).tobytes()
+        with mock.patch.dict(image.UNFILTER_BATCH_LANES, {3: lanes, 4: lanes}):
+            assert_unfilter_matches_reference(raw, len(filters), stride, bpp)
 
     def test_invalid_filter_type_reports_row_offset(self):
         height, stride = 4, 6
@@ -344,6 +435,22 @@ class TestDecodePNG:
         data[33 : 33 + 12 + idat_len] = idat
         with pytest.raises(DecodeError, match="corrupt PNG pixel stream") as exc:
             decode_frame(bytes(data))
+        assert exc.value.offset == 8
+
+    @pytest.mark.parametrize("width, height", [(2**32 - 1, 2**32 - 1), (2**31, 1), (1, 2**31)])
+    def test_dimensions_past_the_png_limit_rejected(self, width, height):
+        # a 16-bit RGB image that size would declare a stream zlib cannot count
+        data = with_ihdr(make_png(np.zeros((1, 1, 3), dtype=np.uint16), 16, 2), width, height)
+        with pytest.raises(DecodeError) as exc:
+            decode_frame(data)
+        assert exc.value.offset == 16
+        assert f"invalid PNG dimensions {width}x{height}" in str(exc.value)
+
+    def test_largest_dimensions_fail_as_a_short_stream(self):
+        limit = image.PNG_MAX_DIM
+        data = with_ihdr(make_png(np.zeros((1, 1, 3), dtype=np.uint16), 16, 2), limit, limit)
+        with pytest.raises(DecodeError, match="PNG pixel stream has 7 bytes") as exc:
+            decode_frame(data)
         assert exc.value.offset == 8
 
     def test_interlaced_rejected(self):

@@ -15,9 +15,10 @@ and bounds gates are array masks. Orientation histograms are gathered per
 (octave, level) and window radius, one bincount per block, and their peaks
 found with array ops. Descriptors are built per (octave, level) block the
 same way. Scalars whose array form can round differently (powers of
-sigma) are still computed per keypoint. extract_features differentiates
-each Gaussian level once: detection hands the gradients of the levels that
-hold its keypoints to description.
+sigma) are still computed per keypoint. A ScaleSpace differentiates a
+Gaussian level (np.gradient: central differences inside, one-sided at the
+border) on first request and keeps the result, so orientation assignment
+and description differentiate each level once.
 
 A keypoint set is an (N,) array of KEYPOINT_DTYPE, one row per keypoint,
 from detection through descriptors to matching; compute_descriptors rejects
@@ -27,7 +28,7 @@ rows into two frames' keypoint sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,12 +113,21 @@ class ScaleSpace:
     base_sigma: float
     width: int                 # original frame size
     height: int
+    # (octave, level) -> (gx, gy) of the levels differentiated so far
+    _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sigma_local(self, s) -> float:
         return self.base_sigma * 2.0 ** (s / self.scales_per_octave)
 
     def sigma_abs(self, o, s) -> float:
         return self.base_sigma * 2.0 ** (o + s / self.scales_per_octave)
+
+    def gradients(self, o, s):
+        """(gx, gy) of Gaussian level s of octave o, computed on first request and kept."""
+        if (o, s) not in self._gradients:
+            gy, gx = np.gradient(self.gaussians[o][s])
+            self._gradients[o, s] = gx, gy
+        return self._gradients[o, s]
 
 
 def build_scale_space(
@@ -270,19 +280,6 @@ def _refine(stack, extrema):
     return [np.concatenate(part) for part in zip(*settled_parts)]
 
 
-def _gradients(img):
-    """(gx, gy): central differences inside, one-sided at the border."""
-    gy = np.empty_like(img)
-    gx = np.empty_like(img)
-    gy[1:-1] = (img[2:] - img[:-2]) / 2.0
-    gy[0] = img[1] - img[0]
-    gy[-1] = img[-1] - img[-2]
-    gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
-    gx[:, 0] = img[:, 1] - img[:, 0]
-    gx[:, -1] = img[:, -1] - img[:, -2]
-    return gx, gy
-
-
 def _orientations(gx, gy, x, y, sigma_local):
     """Peaks of the 36-bin gradient-orientation histograms of keypoints at
     octave positions (x, y) and scales sigma_local on one gradient image.
@@ -337,17 +334,15 @@ def detect_keypoints(
     contrast_threshold: float = 0.03,
     edge_ratio_threshold: float = 10.0,
     max_keypoints: int = 2000,
-    *,
-    gradients: dict | None = None,
 ) -> np.ndarray:
     """DoG extrema with subpixel refinement, contrast/edge gates, orientations.
 
     Returns an (N,) KEYPOINT_DTYPE array in stable descending-response order,
     at most max_keypoints rows; before that sort, rows run in extremum order
     (by octave, then np.argwhere order) and by ascending orientation bin
-    within an extremum. An empty array is a valid result. `gradients`, when
-    given, is a dict that receives the _gradients (gx, gy) of each
-    (octave, level) holding a returned keypoint, for compute_descriptors.
+    within an extremum. An empty array is a valid result. Orientations read
+    pyramid.gradients, so the levels holding keypoints stay differentiated
+    for compute_descriptors.
     """
     r = edge_ratio_threshold
     edge_limit = (r + 1.0) ** 2 / r
@@ -373,9 +368,7 @@ def detect_keypoints(
         peaks, thetas = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for s in np.unique(pos[keep, 0]):
             members = keep[pos[keep, 0] == s]
-            gx, gy = _gradients(pyramid.gaussians[o][s])
-            if gradients is not None:
-                gradients[o, int(s)] = gx, gy
+            gx, gy = pyramid.gradients(o, int(s))
             k, theta = _orientations(
                 gx, gy, x_oct[members], y_oct[members], sigma_local[members])
             peaks.append(members[k])
@@ -391,12 +384,7 @@ def detect_keypoints(
         rows["x_octave"], rows["y_octave"], rows["sigma_local"] = x_oct[k], y_oct[k], sigma_local[k]
         found.append(rows)
     rows = np.concatenate(found)
-    rows = rows[np.argsort(-rows["response"], kind="stable")[:max_keypoints]]
-    if gradients is not None:
-        held = set(zip(rows["octave"].tolist(), rows["level"].tolist()))
-        for level in set(gradients) - held:
-            del gradients[level]
-    return rows
+    return rows[np.argsort(-rows["response"], kind="stable")[:max_keypoints]]
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +531,16 @@ def _row_norms(m):
     return np.sqrt(m[:, None, :] @ m[:, :, None]).reshape(-1)
 
 
-def compute_descriptors(
-    pyramid: ScaleSpace, keypoints: np.ndarray, *, gradients: dict | None = None
-) -> FrameFeatures:
+def compute_descriptors(pyramid: ScaleSpace, keypoints: np.ndarray) -> FrameFeatures:
     """Descriptors for keypoints whose sample window fits their octave image.
 
     `keypoints` must be an (N,) KEYPOINT_DTYPE array; anything else is a
     TypeError, and an octave or level the pyramid lacks is a ValueError.
     Returns FrameFeatures: kept keypoints in input order, their (N, 128)
     descriptor rows, and the count of keypoints skipped because the window
-    left the image (or, degenerately, held no gradient). `gradients` maps
-    (octave, level) to the (gx, gy) detect_keypoints filled in; a level it
-    lacks is differentiated here.
+    left the image (or, degenerately, held no gradient). Gradients come from
+    pyramid.gradients: a level detect_keypoints differentiated is not
+    differentiated again.
     """
     if not (isinstance(keypoints, np.ndarray) and keypoints.dtype == KEYPOINT_DTYPE
             and keypoints.ndim == 1):
@@ -566,8 +552,7 @@ def compute_descriptors(
     kept = np.zeros(len(keypoints), dtype=bool)
     desc = np.empty((len(keypoints), DESC_SIZE))
     for o, s in np.unique(np.column_stack([octave, level]), axis=0).tolist():
-        known = gradients.get((o, s)) if gradients else None
-        gx, gy = known if known is not None else _gradients(pyramid.gaussians[o][s])
+        gx, gy = pyramid.gradients(o, s)
         members = np.flatnonzero((octave == o) & (level == s))
         for start in range(0, len(members), DESC_BLOCK_KEYPOINTS):
             block = members[start : start + DESC_BLOCK_KEYPOINTS]
@@ -620,7 +605,11 @@ def match_descriptors(
 
 
 def extract_features(frame: Frame, params: FeatureParams | None = None) -> FrameFeatures:
-    """Detect, orient, and describe in one call, honoring params.max_dim."""
+    """Detect, orient, and describe in one call, honoring params.max_dim.
+
+    Each Gaussian level is differentiated once, by the pyramid, for both
+    orientations and descriptors.
+    """
     from .image import resize_max_dim
 
     params = params or FeatureParams()
@@ -631,23 +620,17 @@ def extract_features(frame: Frame, params: FeatureParams | None = None) -> Frame
     pyramid = build_scale_space(
         work, params.octaves, params.scales_per_octave, params.base_sigma
     )
-    # each level is differentiated once, for orientations and descriptors
-    gradients = {}
     kps = detect_keypoints(
-        pyramid,
-        params.contrast_threshold,
-        params.edge_ratio_threshold,
-        params.max_keypoints,
-        gradients=gradients,
+        pyramid, params.contrast_threshold, params.edge_ratio_threshold, params.max_keypoints
     )
     # description reads no DoG level: free them before its temporaries, which
-    # outweigh the gradients handed over
+    # outweigh the gradients the pyramid keeps
     pyramid.dogs.clear()
-    feats = compute_descriptors(pyramid, kps, gradients=gradients)
+    feats = compute_descriptors(pyramid, kps)
     if scale != 1.0:
         # report positions in original-frame pixels
-        for field in ("x", "y", "scale"):
-            feats.keypoints[field] /= scale
+        for name in ("x", "y", "scale"):
+            feats.keypoints[name] /= scale
     return feats
 
 

@@ -10,8 +10,10 @@ None or Sub row starts a chain, and each Up, Average or Paeth row is one
 level above the row over it. The rows of one level and filter type are
 undone together; Average and Paeth rows by one pass over the pixel
 columns that updates every byte lane of every row at each step. A level
-with fewer than UNFILTER_BATCH_LANES lanes goes row by row instead, so an
-image that is one long Paeth chain costs what it did in row order.
+with fewer than UNFILTER_BATCH_LANES lanes goes one lane at a time in
+Python instead, so an image that is one long Paeth chain costs no more
+than in row order. Both read the Average and Paeth predictors from one
+lookup table, their only definition here.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
-# 11x11 Gaussian window, sigma 1.5, C1/C2 from L = 1.0
+# 11x11 Gaussian window (gaussian_kernel_1d(SSIM_SIGMA): radius
+# ceil(3 * 1.5) = 5), sigma 1.5, C1/C2 from L = 1.0
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_C1 = (0.01 * 1.0) ** 2
@@ -91,6 +94,11 @@ def decode_frame(data: bytes) -> Frame:
     raise DecodeError("unrecognized image magic", 0)
 
 
+# the longest PGM header field read: past every valid width, height and
+# maxval, and far below the digit count at which int() refuses to parse
+PGM_MAX_DIGITS = 10
+
+
 def _decode_pgm(data: bytes) -> Frame:
     pos = 2
     fields = []
@@ -107,6 +115,9 @@ def _decode_pgm(data: bytes) -> Frame:
             start = pos
             while pos < len(data) and data[pos : pos + 1].isdigit():
                 pos += 1
+            if pos - start > PGM_MAX_DIGITS:
+                raise DecodeError(
+                    f"PGM header field has more than {PGM_MAX_DIGITS} digits", start)
             fields.append(int(data[start:pos]))
         else:
             raise DecodeError(f"unexpected byte {c!r} in PGM header", pos)
@@ -237,8 +248,8 @@ def _png_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
     each, which wraps mod 256 as the filters require. Average and Paeth
     predict each byte from the one just decoded to its left: their rows go
     through one column pass (_unfilter_columns) when they hold at least
-    UNFILTER_BATCH_LANES byte lanes, and through the per-row
-    _unfilter_average and _unfilter_paeth otherwise.
+    UNFILTER_BATCH_LANES byte lanes, and one lane at a time
+    (_unfilter_lanes) otherwise.
     """
     rows = np.frombuffer(raw, np.uint8, height * (stride + 1)).reshape(height, stride + 1)
     ftypes, lines = rows[:, 0], rows[:, 1:]
@@ -268,22 +279,34 @@ def _png_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
         ftype = int(ftypes[group[0]])
         if ftype == 2:
             done[group + 1] = lines[group] + done[group]
-        elif len(group) * bpp >= UNFILTER_BATCH_LANES[ftype]:
-            done[group + 1] = _unfilter_columns(lines[group], done[group], bpp, ftype)
         else:
-            undo = _unfilter_average if ftype == 3 else _unfilter_paeth
-            for row in group.tolist():
-                start = row * (stride + 1) + 1
-                decoded = undo(raw[start : start + stride], done[row].tobytes(), bpp)
-                done[row + 1] = np.frombuffer(decoded, np.uint8)
+            batched = len(group) * bpp >= UNFILTER_BATCH_LANES[ftype]
+            undo = _unfilter_columns if batched else _unfilter_lanes
+            done[group + 1] = undo(lines[group], done[group], bpp, ftype)
     return done[1:]
 
 
 # the fewest byte lanes (rows x bytes per pixel) for which one column pass
-# over a level's Average or Paeth rows beats undoing the rows one by one;
-# a column step costs about as much as 22 Average or 11 Paeth bytes of the
-# per-row loops (measured on 640-pixel rows, 2 vCPUs)
-UNFILTER_BATCH_LANES = {3: 22, 4: 11}
+# over a level's Average or Paeth rows beats undoing its lanes one by one;
+# a column step costs about as much as 25 Average or 19 Paeth bytes of the
+# lane loop (measured on 640-pixel RGB rows, 2 vCPUs)
+UNFILTER_BATCH_LANES = {3: 25, 4: 19}
+
+
+def _predictor_keys(x: np.ndarray, b: np.ndarray, ftype: int):
+    """(base, key) of Average (3) or Paeth (4) filtered bytes x over the
+    decoded bytes b above them; both are laid out (..., pixels, lanes).
+
+    A byte decodes to base + _predictor_table(ftype)[key + a], mod 256,
+    where a is the decoded byte of its lane in the pixel to its left (0 in
+    the first pixel). The Average key is b itself; the Paeth key is int32,
+    half the memory of intp keys at about the same speed.
+    """
+    if ftype == 3:
+        return x, b
+    c = np.zeros_like(b)
+    c[..., 1:, :] = b[..., :-1, :]
+    return x + c, (b.astype(np.int32) - c) * 511 + (511 * 255 + 255) - c
 
 
 def _unfilter_columns(lines: np.ndarray, above: np.ndarray, bpp: int, ftype: int) -> np.ndarray:
@@ -293,28 +316,39 @@ def _unfilter_columns(lines: np.ndarray, above: np.ndarray, bpp: int, ftype: int
     A byte depends on the byte of the same lane (byte position within a
     pixel) in the pixel to its left, and on bytes of the row above. So the
     rows are laid out by column, (width, n * bpp): step x decodes pixel x of
-    every row, all n * bpp lanes at once, from the lanes of step x - 1. Each
-    step reads its predictor from _predictor_table at the decoded left byte
-    a plus a key computed beforehand from the bytes above (b) and above-left
-    (c). The keys are int32, half the memory of intp keys at about the same
-    speed.
+    every row, all n * bpp lanes at once, from the lanes of step x - 1.
     """
-    x, b = _transpose_pixels(lines, bpp), _transpose_pixels(above, bpp)
+    base, key = _predictor_keys(_transpose_pixels(lines, bpp), _transpose_pixels(above, bpp), ftype)
     table = _predictor_table(ftype)
-    if ftype == 3:
-        base, key = x, b.astype(np.int32) << 8
-    else:
-        c = np.zeros_like(b)
-        c[1:] = b[:-1]
-        base = x + c
-        key = (b.astype(np.int32) - c) * 511 + (511 * 255 + 255) - c
-    out = np.empty_like(x)
-    a = np.zeros(x.shape[1], dtype=np.uint8)
-    at = np.empty(x.shape[1], dtype=np.int32)
-    for k, start, decoded in zip(key, base, out):
+    out = np.empty_like(base)
+    a = np.zeros(base.shape[1], dtype=np.uint8)
+    at = np.empty(base.shape[1], dtype=np.int32)
+    for k, start, decoded in zip(key.astype(np.int32, copy=False), base, out):
         np.add(a, k, out=at)
         a = np.add(start, table.take(at), out=decoded)
     return _transpose_pixels(out, bpp)
+
+
+def _unfilter_lanes(lines: np.ndarray, above: np.ndarray, bpp: int, ftype: int) -> np.ndarray:
+    """_unfilter_columns one byte lane at a time, in Python integers: for a
+    few lanes, cheaper than one NumPy call per column."""
+    n, stride = lines.shape
+    base, key = _predictor_keys(lines.reshape(n, -1, bpp), above.reshape(n, -1, bpp), ftype)
+    # uint8 keys (Average) iterate as bytes, without building a list
+    starts = base.tobytes()
+    keys = key.tobytes() if key.dtype == np.uint8 else key.ravel().tolist()
+    table = _predictor_list(ftype)
+    out = bytearray(n * stride)
+    for row in range(0, n * stride, stride):
+        for first in range(row, row + bpp):
+            lane = slice(first, row + stride, bpp)
+            a = 0
+            decoded = bytearray()
+            for start, k in zip(starts[lane], keys[lane]):
+                a = (start + table[k + a]) & 0xFF
+                decoded.append(a)
+            out[lane] = decoded
+    return np.frombuffer(out, np.uint8).reshape(n, stride)
 
 
 def _transpose_pixels(m: np.ndarray, bpp: int) -> np.ndarray:
@@ -330,15 +364,18 @@ def _transpose_pixels(m: np.ndarray, bpp: int) -> np.ndarray:
 
 @functools.cache
 def _predictor_table(ftype: int) -> np.ndarray:
-    """uint8 lookup table of the Average (3) or Paeth (4) predictor.
+    """uint8 lookup table of the Average (3) or Paeth (4) predictor, the one
+    definition of both in this module.
 
-    Average: entry a + 256 b is (a + b) >> 1. Paeth: with da = a - c and
-    db = b - c, entry (da + 255) + 511 (db + 255) is the predictor minus c,
-    mod 256; the caller adds c back. Built on first use, so importing the
-    module stays cheap, and read-only, since every caller shares it.
+    Average: entry a + b is (a + b) >> 1. Paeth: the predictor is whichever
+    of a, b and c is nearest to a + b - c, ties going to a, then b; with
+    da = a - c and db = b - c, entry (da + 255) + 511 (db + 255) is the
+    predictor minus c, mod 256, and the caller adds c back. Built on first
+    use, so importing the module stays cheap, and read-only, since every
+    caller shares it.
     """
     if ftype == 3:
-        table = (np.arange(256) + np.arange(256)[:, None]) >> 1
+        table = np.arange(511) >> 1
     else:
         d = np.arange(-255, 256, dtype=np.int16)
         da, db = d[None, :], d[:, None]
@@ -349,42 +386,10 @@ def _predictor_table(ftype: int) -> np.ndarray:
     return table
 
 
-def _unfilter_average(line: bytes, prev: bytes, bpp: int) -> bytearray:
-    """Undo the Average filter, one byte lane (a sample byte position) at a time."""
-    out = bytearray(len(line))
-    for lane in range(bpp):
-        a = 0
-        decoded = bytearray()
-        for x, b in zip(line[lane::bpp], prev[lane::bpp]):
-            a = (x + ((a + b) >> 1)) & 0xFF
-            decoded.append(a)
-        out[lane::bpp] = decoded
-    return out
-
-
-def _unfilter_paeth(line: bytes, prev: bytes, bpp: int) -> bytearray:
-    """Undo the Paeth filter, one byte lane at a time.
-
-    a, b and c are the decoded bytes left, above and above-left; with
-    p = a + b - c, the predictor is whichever of them is nearest to p,
-    ties going to a, then b.
-    """
-    out = bytearray(len(line))
-    for lane in range(bpp):
-        a = c = 0
-        decoded = bytearray()
-        for x, b in zip(line[lane::bpp], prev[lane::bpp]):
-            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
-            if pa <= pb and pa <= pc:
-                a = (x + a) & 0xFF
-            elif pb <= pc:
-                a = (x + b) & 0xFF
-            else:
-                a = (x + c) & 0xFF
-            decoded.append(a)
-            c = b
-        out[lane::bpp] = decoded
-    return out
+@functools.cache
+def _predictor_list(ftype: int) -> list:
+    """_predictor_table as a list, which Python indexes faster than an array."""
+    return _predictor_table(ftype).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +406,20 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _conv_valid_axis(img, kernel, axis):
+    """img correlated with kernel along axis, at window positions that fit."""
+    windows = sliding_window_view(img, len(kernel), axis=axis)
+    return windows @ kernel
+
+
 def _convolve_axis_reflect(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     radius = len(kernel) // 2
     pad = [(0, 0), (0, 0)]
     pad[axis] = (radius, radius)
-    padded = np.pad(img, pad, mode="reflect")
-    windows = sliding_window_view(padded, len(kernel), axis=axis)
-    return windows @ kernel[::-1]
+    # the reversed view's negative stride keeps NumPy's own matmul loop; a
+    # contiguous kernel, even the symmetric one unreversed, sends axis 0 to
+    # BLAS gemv, whose sums round differently
+    return _conv_valid_axis(np.pad(img, pad, mode="reflect"), kernel[::-1], axis)
 
 
 def gaussian_blur_array(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -456,23 +468,11 @@ def resize_max_dim(frame: Frame, max_dim: int):
 # SSIM / motion level
 
 
-def _conv_valid_axis(img, kernel, axis):
-    windows = sliding_window_view(img, len(kernel), axis=axis)
-    return windows @ kernel
-
-
 def _ssim_window_filter(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return _conv_valid_axis(_conv_valid_axis(img, kernel, 0), kernel, 1)
 
 
-def _ssim_kernel() -> np.ndarray:
-    radius = (SSIM_WINDOW - 1) // 2
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (xs / SSIM_SIGMA) ** 2)
-    return k / k.sum()
-
-
-_SSIM_KERNEL = _ssim_kernel()
+_SSIM_KERNEL = gaussian_kernel_1d(SSIM_SIGMA)
 
 
 def _ssim_moments(x: np.ndarray):

@@ -242,12 +242,16 @@ def _malformed_run(case, ws, tmp):
                         + b"".join(struct.pack(">I", len(c) - 4) + c + struct.pack(">I", zlib.crc32(c))
                                    for c in (ihdr, idat, b"IEND")))
         return ["score", str(frames), "--output", out], bad
-    if case in ("pgm_sample_above_maxval", "video_with_one_frame", "video_with_mixed_sizes"):
+    if case in ("pgm_sample_above_maxval", "pgm_header_field_too_long",
+                "video_with_one_frame", "video_with_mixed_sizes"):
         frames = tmp / case
         frames.mkdir()
         if case == "pgm_sample_above_maxval":
             bad = frames / "frame_000.pgm"
             bad.write_bytes(b"P5 2 2 100 " + bytes([0, 200, 5, 5]))
+        elif case == "pgm_header_field_too_long":
+            bad = frames / "frame_000.pgm"
+            bad.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255\n")
         else:
             heights = [300] if case == "video_with_one_frame" else [300, 280]
             for k, height in enumerate(heights):
@@ -287,6 +291,7 @@ def _malformed_run(case, ws, tmp):
     ("truncated_png_frame", "truncated PNG chunk"),
     ("png_dimensions_past_the_limit", "invalid PNG dimensions 4294967295x4294967295 (byte offset 16)"),
     ("pgm_sample_above_maxval", "exceeds maxval 100 (byte offset 12)"),
+    ("pgm_header_field_too_long", "more than 10 digits (byte offset 3)"),
     ("video_with_one_frame", "video 'video_with_one_frame': need at least 2 frames"),
     ("video_with_mixed_sizes", "video 'video_with_mixed_sizes': frame 1 dimensions differ"),
 ])

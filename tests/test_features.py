@@ -311,6 +311,19 @@ class TestKeypointArray:
             compute_descriptors(pyr, kp)
 
 
+def reference_gradients(img):
+    """(gx, gy): central differences inside, one-sided at the border."""
+    gy = np.empty_like(img)
+    gx = np.empty_like(img)
+    gy[1:-1] = (img[2:] - img[:-2]) / 2.0
+    gy[0] = img[1] - img[0]
+    gy[-1] = img[-1] - img[-2]
+    gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
+    gx[:, 0] = img[:, 1] - img[:, 0]
+    gx[:, -1] = img[:, -1] - img[:, -2]
+    return gx, gy
+
+
 def reference_local_extrema(stack, prefilter):
     """The former extrema search: 26 whole-array shifts with an early exit."""
     center = stack[1:-1, 1:-1, 1:-1]
@@ -442,7 +455,7 @@ def reference_detection_rows(pyramid, contrast_threshold=0.03, edge_ratio_thresh
             if not (0 <= x_img < pyramid.width and 0 <= y_img < pyramid.height):
                 continue
             sigma_local = pyramid.sigma_local(s0 + offset[0])
-            gx, gy = features._gradients(pyramid.gaussians[o][s0])
+            gx, gy = reference_gradients(pyramid.gaussians[o][s0])
             for theta in reference_orientations(gx, gy, x_oct, y_oct, sigma_local):
                 rows.append((x_img, y_img, sigma_local * 2**o, theta, abs(value),
                              o, s0, x_oct, y_oct, sigma_local))
@@ -531,7 +544,7 @@ class TestDetectAgainstReference:
     def test_orientations_of_many_keypoints(self):
         # random positions, the border included, and scales over many radii
         _, frame = dot_grid(n=50, seed=15, tex=0.05)
-        gx, gy = features._gradients(build_scale_space(frame, octaves=1).gaussians[0][2])
+        gx, gy = reference_gradients(build_scale_space(frame, octaves=1).gaussians[0][2])
         rng = np.random.default_rng(15)
         n = 2000
         x, y = rng.uniform(0, 255, n), rng.uniform(0, 255, n)
@@ -697,7 +710,7 @@ def reference_descriptors(pyramid, keypoints):
     """(kept keypoints, descriptor rows, skipped) from one_descriptor, keypoint by keypoint."""
     kept, rows = [], []
     for i, kp in enumerate(keypoints):
-        gx, gy = features._gradients(pyramid.gaussians[kp["octave"]][kp["level"]])
+        gx, gy = reference_gradients(pyramid.gaussians[kp["octave"]][kp["level"]])
         vec = one_descriptor(gx, gy, kp)
         if vec is not None:
             kept.append(i)
@@ -926,38 +939,38 @@ class TestExtractAndCache:
     @pytest.mark.parametrize("max_keypoints", [2000, 7])
     def test_each_level_is_differentiated_once(self, monkeypatch, max_keypoints):
         _, frame = dot_grid(n=30, size=192, spacing=24)
-        pyramid = build_scale_space(frame, octaves=3)
-        alone = compute_descriptors(pyramid, detect_keypoints(pyramid, max_keypoints=max_keypoints))
+        kps = detect_keypoints(build_scale_space(frame, octaves=3), max_keypoints=max_keypoints)
+        # described from a pyramid that has differentiated no level yet
+        alone = compute_descriptors(build_scale_space(frame, octaves=3), kps)
         differentiated = []
-        gradients = features._gradients
+        gradient = np.gradient
 
         def spy(img):
             differentiated.append(img)
-            return gradients(img)
+            return gradient(img)
 
-        monkeypatch.setattr(features, "_gradients", spy)
-        detect_keypoints(pyramid, max_keypoints=max_keypoints)
+        monkeypatch.setattr(np, "gradient", spy)
+        detect_keypoints(build_scale_space(frame, octaves=3), max_keypoints=max_keypoints)
         by_detection = len(differentiated)
         differentiated.clear()
         shared = extract_features(frame, FeatureParams(octaves=3, max_keypoints=max_keypoints))
         # description differentiates no level again; the images stay
         # referenced, so their ids are distinct while compared
+        assert by_detection > 0
         assert len(differentiated) == by_detection
         assert len({id(img) for img in differentiated}) == by_detection
         assert shared.keypoints.tobytes() == alone.keypoints.tobytes()
         assert shared.descriptors.tobytes() == alone.descriptors.tobytes()
         assert shared.skipped == alone.skipped
 
-    def test_detection_hands_over_the_levels_of_its_keypoints(self):
-        _, frame = dot_grid(n=30, size=192, spacing=24)
-        pyramid = build_scale_space(frame, octaves=3)
-        gradients = {}
-        kps = detect_keypoints(pyramid, max_keypoints=3, gradients=gradients)
-        levels = set(zip(kps["octave"].tolist(), kps["level"].tolist()))
-        assert set(gradients) == levels
-        for (o, s), (gx, gy) in gradients.items():
-            expected = features._gradients(pyramid.gaussians[o][s])
-            assert np.array_equal(gx, expected[0]) and np.array_equal(gy, expected[1])
-        shared = compute_descriptors(pyramid, kps, gradients=gradients)
-        alone = compute_descriptors(pyramid, kps)
-        assert shared.descriptors.tobytes() == alone.descriptors.tobytes()
+    @pytest.mark.parametrize("height, width", [(2, 2), (2, 9), (9, 2), (3, 3), (24, 40)])
+    def test_pyramid_gradients_are_the_reference_and_kept(self, height, width):
+        rng = np.random.default_rng(height * 100 + width)
+        levels = [rng.random((height, width)) for _ in range(6)]
+        pyramid = features.ScaleSpace([levels], [], 1, 3, 1.6, width, height)
+        for s, img in enumerate(levels):
+            gx, gy = pyramid.gradients(0, s)
+            want_x, want_y = reference_gradients(img)
+            assert gx.tobytes() == want_x.tobytes() and gy.tobytes() == want_y.tobytes()
+            again = pyramid.gradients(0, s)
+            assert again[0] is gx and again[1] is gy

@@ -24,6 +24,20 @@ from epigeo.image import (
 )
 
 
+def average_predictor(a, b):
+    """The PNG Average predictor (PNG spec section 9.3), on ints or arrays."""
+    return (a + b) >> 1
+
+
+def paeth_predictor(a, b, c):
+    """The PNG Paeth predictor (PNG spec section 9.4), on ints or int arrays:
+    whichever of a, b and c is nearest to p = a + b - c, ties going to a,
+    then b."""
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+
+
 def make_png(arr, bit_depth=8, color_type=0, filters=None, interlace=0):
     """Minimal PNG encoder for test fixtures (grayscale or RGB, filter per row)."""
     arr = np.asarray(arr)
@@ -62,11 +76,9 @@ def make_png(arr, bit_depth=8, color_type=0, filters=None, interlace=0):
             elif ftype == 2:
                 pred = b
             elif ftype == 3:
-                pred = (a + b) >> 1
+                pred = average_predictor(a, b)
             else:
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+                pred = paeth_predictor(a, b, c)
             enc[i] = (line[i] - pred) & 0xFF
         raw.append(ftype)
         raw.extend(bytes(enc.astype(np.uint8)))
@@ -99,12 +111,9 @@ def png_unfilter_reference(raw, height, stride, bpp):
                 if ftype == 1:
                     pred = a
                 elif ftype == 3:
-                    pred = (a + b) >> 1
+                    pred = average_predictor(a, b)
                 else:
-                    c = prev[i - bpp] if i >= bpp else 0
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+                    pred = paeth_predictor(a, b, prev[i - bpp] if i >= bpp else 0)
                 cur[i] = (line[i] + pred) & 0xFF
         else:
             raise DecodeError(f"invalid PNG filter type {ftype}", offset)
@@ -277,6 +286,26 @@ class TestUnfilterAgainstReference:
         png = make_png(samples, color_type=2 if rgb else 0, filters=filters)
         assert np.array_equal(decode_frame(png).pixels, expected_pixels(samples, 8))
 
+    @pytest.mark.parametrize("layout", ["columns", "lanes"])
+    @pytest.mark.parametrize("ftype", [3, 4])
+    def test_predictor_table_holds_the_png_rule_for_every_byte_triple(self, ftype, layout):
+        # every (b, c) pair is one lane of two pixels, c above-left of b; the
+        # keys come from _predictor_keys in the layout each path gives it:
+        # (pixels, lanes) for the column pass, (rows, pixels, bpp) for lanes
+        c, b = np.divmod(np.arange(256 * 256), 256)
+        above = np.stack([c, b]).astype(np.uint8)
+        if layout == "lanes":
+            above = above.T[:, :, None]
+        base, key = image._predictor_keys(np.zeros_like(above), above, ftype)
+        second = (1, slice(None)) if layout == "columns" else (slice(None), 1, 0)
+        base, key = base[second].astype(np.int64), key[second].astype(np.int64)
+        table = image._predictor_table(ftype)
+        assert image._predictor_list(ftype) == table.tolist()
+        for a in range(256):
+            got = (base + table[key + a]) & 0xFF
+            want = average_predictor(a, b) if ftype == 3 else paeth_predictor(a, b, c)
+            assert np.array_equal(got, want), a
+
 
 class TestFrame:
     def test_basic_properties(self):
@@ -343,6 +372,15 @@ class TestDecodePGM:
     def test_garbage_in_header(self):
         with pytest.raises(DecodeError):
             decode_frame(b"P5\nxx 2\n255\n\x00\x00")
+
+    def test_header_field_past_the_digit_limit_reports_its_offset(self):
+        # int() refuses digit runs past 4300; a field is refused far sooner
+        assert decode_frame(b"P5 0000000002 1 255\n" + bytes([0, 255])).width == 2
+        for field in (b"9" * 5000, b"00000000002"):
+            with pytest.raises(DecodeError) as exc:
+                decode_frame(b"P5 " + field + b" 1 255\n")
+            assert exc.value.offset == 3
+            assert "more than 10 digits" in exc.value.message
 
 
 class TestDecodePNG:
@@ -477,6 +515,80 @@ class TestDecodePNG:
             decode_frame(b"GIF89a....")
 
 
+def fixed_crcs(data):
+    """PNG bytes with the CRC of every complete chunk recomputed."""
+    out = bytearray(data)
+    pos = 8
+    while pos + 8 <= len(out):
+        end = pos + 8 + int.from_bytes(out[pos : pos + 4], "big")
+        if end + 4 > len(out):
+            break
+        out[end : end + 4] = struct.pack(">I", zlib.crc32(out[pos + 4 : end]) & 0xFFFFFFFF)
+        pos = end + 4
+    return bytes(out)
+
+
+def with_pixel_stream(png, raw):
+    """make_png output with its one IDAT chunk holding `raw`, compressed."""
+    idat_len = int.from_bytes(png[33:37], "big")
+    stream = zlib.compress(raw)
+    idat = (struct.pack(">I", len(stream)) + b"IDAT" + stream
+            + struct.pack(">I", zlib.crc32(b"IDAT" + stream) & 0xFFFFFFFF))
+    return png[:33] + idat + png[33 + 12 + idat_len :]
+
+
+def fuzz_seeds():
+    """Valid streams of every decoded form: PGM 8/16-bit, PNG gray/RGB 8/16-bit."""
+    rng = np.random.default_rng(23)
+    gray = rng.integers(0, 256, (4, 5), dtype=np.uint8)
+    rgb16 = rng.integers(0, 65536, (3, 4, 3), dtype=np.uint16)
+    return [
+        b"P5\n5 4\n255\n" + gray.tobytes(),
+        b"P5 # c\n2 2 1000 " + np.array([0, 999, 1000, 7], dtype=">u2").tobytes(),
+        make_png(gray, filters=[0, 1, 2, 3]),
+        make_png(rng.integers(0, 256, (5, 4, 3), dtype=np.uint8), color_type=2,
+                 filters=[4, 3, 2, 1, 4]),
+        make_png(rgb16, bit_depth=16, color_type=2, filters=[3, 4, 0]),
+    ]
+
+
+FUZZ_SEEDS = fuzz_seeds()
+
+
+def mutated(data, draw):
+    """data truncated, overwritten or with bytes inserted, at a drawn place."""
+    op = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    at = draw(st.integers(0, len(data)))
+    if op == "truncate":
+        return data[:at]
+    piece = draw(st.binary(min_size=1, max_size=8))
+    return data[:at] + piece + data[at + len(piece) * (op == "overwrite") :]
+
+
+class TestDecodeFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.sampled_from(range(len(FUZZ_SEEDS))),
+           target=st.sampled_from(["file", "pixels"]), data=st.data())
+    def test_mutated_streams_decode_or_raise_decode_error(self, seed, target, data):
+        stream = FUZZ_SEEDS[seed]
+        png = stream.startswith(image.PNG_SIGNATURE)
+        if png and target == "pixels":
+            # past zlib: filter bytes and scanline lengths
+            idat_len = int.from_bytes(stream[33:37], "big")
+            raw = zlib.decompress(stream[41 : 41 + idat_len])
+            stream = with_pixel_stream(stream, mutated(raw, data.draw))
+        else:
+            stream = mutated(stream, data.draw)
+            if png:
+                # recomputed CRCs let a mutation reach the chunk payloads
+                stream = fixed_crcs(stream)
+        try:
+            frame = decode_frame(stream)
+        except DecodeError:
+            return
+        assert isinstance(frame, Frame)
+
+
 class TestGaussianBlur:
     def test_kernel_radius_and_normalization(self):
         # radius is ceil(3 * sigma): sigma 1.6 -> 5, sigma 1.0 -> 3
@@ -556,6 +668,9 @@ class TestSSIM:
     def test_too_small(self):
         with pytest.raises(ValueError):
             ssim(Frame(np.zeros((10, 16))), Frame(np.zeros((10, 16))))
+
+    def test_window_is_the_blur_kernel_of_sigma_1_5(self):
+        assert len(image._SSIM_KERNEL) == image.SSIM_WINDOW == 11
 
 
 class TestMotionLevel:

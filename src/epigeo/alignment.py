@@ -24,6 +24,11 @@ DEFAULT_BETA = 1.0
 DEFAULT_LAMBDA = 0.001
 DEFAULT_CLEAN_MODE = "self_consistent"
 DEFAULT_PENALTY_BRANCH = "winner"
+DEFAULT_STEPS = 200
+DEFAULT_LEARNING_RATE = 1e-3
+# frames and dims of a synthesized toy clip
+DEFAULT_CLIP_FRAMES = 6
+DEFAULT_CLIP_DIMS = 4
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -339,8 +344,8 @@ def mean_winner_variance(items, model_theta, clean_mode: str = DEFAULT_CLEAN_MOD
 def toy_train(
     items,
     model_ref: LinearVelocityModel,
-    steps: int = 200,
-    learning_rate: float = 1e-3,
+    steps: int = DEFAULT_STEPS,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
     beta: float = DEFAULT_BETA,
     lam: float = DEFAULT_LAMBDA,
     penalty_branch: str = DEFAULT_PENALTY_BRANCH,
@@ -386,8 +391,8 @@ def toy_train(
 
 def synthetic_preference_items(
     n_items: int = 8,
-    frames: int = 6,
-    dims: int = 4,
+    frames: int = DEFAULT_CLIP_FRAMES,
+    dims: int = DEFAULT_CLIP_DIMS,
     seed: int = 0,
     motion: float = 1.0,
     corruption: float = 1.5,

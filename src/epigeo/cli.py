@@ -31,8 +31,12 @@ from .alignment import (
     CLEAN_MODES,
     DEFAULT_BETA,
     DEFAULT_CLEAN_MODE,
+    DEFAULT_CLIP_DIMS,
+    DEFAULT_CLIP_FRAMES,
     DEFAULT_LAMBDA,
+    DEFAULT_LEARNING_RATE,
     DEFAULT_PENALTY_BRANCH,
+    DEFAULT_STEPS,
     PENALTY_BRANCHES,
     DpoBatchItem,
     LinearVelocityModel,
@@ -63,6 +67,7 @@ from .io import (
 )
 from .scoring import AGGREGATIONS, ScoringParams, score_video
 from .synth import (
+    DEFAULT_DOT_SIGMA,
     TRAJECTORY_KINDS,
     TrajectorySpec,
     camera_trajectory,
@@ -98,6 +103,10 @@ class RunConfig:
     clean_mode: str = DEFAULT_CLEAN_MODE
     penalty_branch: str = DEFAULT_PENALTY_BRANCH
     scoring: ScoringParams = field(default_factory=ScoringParams)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         """The flat key layout that config files use and the hash covers."""
@@ -468,9 +477,14 @@ def cmd_pairs(args) -> int:
 def _items_from_latents(path: str):
     manifest = _read_json_object(path, "latent manifest")
     items = []
-    for entry in _require_type(_require(manifest, "items", path), list, "items", path):
-        clips = {k: _require(entry, k, path) for k in ("x0_w", "x0_l", "eps_w", "eps_l")}
-        items.append(DpoBatchItem(**clips, t=_require_number(entry, "t", path)))
+    entries = _require_type(_require(manifest, "items", path), list, "items", path)
+    for k, entry in enumerate(entries):
+        clips = {key: _require(entry, key, path) for key in ("x0_w", "x0_l", "eps_w", "eps_l")}
+        t = _require_number(entry, "t", path)
+        try:
+            items.append(DpoBatchItem(**clips, t=t))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: item {k}: {exc}") from None
     return items
 
 
@@ -613,7 +627,7 @@ def build_parser() -> _Parser:
     p.add_argument("--outliers", type=float, default=_SPEC.outlier_fraction, help="outlier fraction per pair (default: %(default)s)")
     p.add_argument("--dynamic", type=float, default=_SPEC.dynamic_fraction, help="moving-point fraction (default: %(default)s)")
     p.add_argument("--dynamic-speed", dest="dynamic_speed", type=float, default=_SPEC.dynamic_speed, help="world units per frame for moving points (default: %(default)s)")
-    p.add_argument("--dot-sigma", dest="dot_sigma", type=float, default=3.0, help="rendered dot size in px (default: %(default)s)")
+    p.add_argument("--dot-sigma", dest="dot_sigma", type=float, default=DEFAULT_DOT_SIGMA, help="rendered dot size in px (default: %(default)s)")
     p.add_argument("--texture", type=float, default=0.02, help="background texture amplitude (default: %(default)s)")
     p.set_defaults(func=cmd_synth)
 
@@ -648,10 +662,10 @@ def build_parser() -> _Parser:
     src.add_argument("--pairs", help="preference-pair JSONL; latents are synthesized from score gaps")
     src.add_argument("--latents", help="explicit latent manifest JSON")
     p.add_argument("--out", required=True, help="output directory (loss_trace.csv, final_params.json)")
-    p.add_argument("--steps", type=int, default=200, help="gradient steps (default: %(default)s)")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default: %(default)s)")
-    p.add_argument("--frames", type=int, default=6, help="synthesized clip frames (default: %(default)s)")
-    p.add_argument("--dims", type=int, default=4, help="synthesized clip dims (default: %(default)s)")
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="gradient steps (default: %(default)s)")
+    p.add_argument("--lr", type=float, default=DEFAULT_LEARNING_RATE, help="learning rate (default: %(default)s)")
+    p.add_argument("--frames", type=int, default=DEFAULT_CLIP_FRAMES, help="synthesized clip frames (default: %(default)s)")
+    p.add_argument("--dims", type=int, default=DEFAULT_CLIP_DIMS, help="synthesized clip dims (default: %(default)s)")
     _config_flag(p, "--beta", "preference strength", type=float)
     _config_flag(p, "--lambda", "temporal penalty weight", dest="lam", type=float)
     _config_flag(p, "--clean-mode", "clean-sample reconstruction convention", choices=CLEAN_MODES)

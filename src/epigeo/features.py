@@ -7,6 +7,12 @@ orientation assignment, and 4x4x8 gradient descriptors over a rotated
 16x16 sample window. Matching is Lowe's ratio test with an optional
 mutual-consistency filter.
 
+The stages are build_scale_space(frame, params), detect_keypoints(pyramid,
+params), compute_descriptors(pyramid, keypoints) and match_descriptors(desc_a,
+desc_b, params); extract_features and match_frames chain them. Settings come
+only from the FeatureParams record, which alone declares their defaults and
+checks their ranges; the stages do not check them again.
+
 Every stage runs as array passes, not per keypoint, and gives the same bits
 as a per-keypoint loop would. The extrema search compacts flat candidate
 indices after each neighbour comparison. Refinement solves one stacked
@@ -130,21 +136,13 @@ class ScaleSpace:
         return self._gradients[o, s]
 
 
-def build_scale_space(
-    frame: Frame,
-    octaves: int = 4,
-    scales_per_octave: int = 3,
-    base_sigma: float = 1.6,
-) -> ScaleSpace:
-    """Gaussian pyramid plus DoG levels.
+def build_scale_space(frame: Frame, params: FeatureParams) -> ScaleSpace:
+    """Gaussian pyramid plus DoG levels, params.octaves octaves deep.
 
     Octave o level s carries effective blur base_sigma * 2^(o + s/S); each
     new octave starts from the level with doubled sigma, downsampled by 2.
     """
-    if octaves < 1:
-        raise ValueError("octaves must be >= 1")
-    if scales_per_octave < 3:
-        raise ValueError("scales_per_octave must be >= 3")
+    octaves, S, base_sigma = params.octaves, params.scales_per_octave, params.base_sigma
     min_dim = min(frame.width, frame.height)
     need = MIN_OCTAVE_DIM * 2**octaves
     if min_dim < need:
@@ -152,7 +150,6 @@ def build_scale_space(
             f"image {frame.width}x{frame.height} is too small for {octaves} octaves "
             f"(needs min dimension >= {need}); use fewer octaves"
         )
-    S = scales_per_octave
     sig = [base_sigma * 2.0 ** (s / S) for s in range(S + 3)]
     deltas = [np.sqrt(sig[s] ** 2 - sig[s - 1] ** 2) for s in range(1, S + 3)]
 
@@ -329,14 +326,10 @@ def _orientations(gx, gy, x, y, sigma_local):
     return keypoint, np.mod(theta, 2.0 * np.pi)
 
 
-def detect_keypoints(
-    pyramid: ScaleSpace,
-    contrast_threshold: float = 0.03,
-    edge_ratio_threshold: float = 10.0,
-    max_keypoints: int = 2000,
-) -> np.ndarray:
+def detect_keypoints(pyramid: ScaleSpace, params: FeatureParams) -> np.ndarray:
     """DoG extrema with subpixel refinement, contrast/edge gates, orientations.
 
+    Reads params.contrast_threshold, edge_ratio_threshold and max_keypoints.
     Returns an (N,) KEYPOINT_DTYPE array in stable descending-response order,
     at most max_keypoints rows; before that sort, rows run in extremum order
     (by octave, then np.argwhere order) and by ascending orientation bin
@@ -344,17 +337,20 @@ def detect_keypoints(
     pyramid.gradients, so the levels holding keypoints stay differentiated
     for compute_descriptors.
     """
-    r = edge_ratio_threshold
+    r = params.edge_ratio_threshold
     edge_limit = (r + 1.0) ** 2 / r
     found = []
     for o in range(pyramid.octaves):
         stack = np.stack(pyramid.dogs[o])
-        row, pos, offset, value, h = _refine(stack, _local_extrema(stack, 0.5 * contrast_threshold))
+        # the extrema stay a temporary: bound to a name, they live through the
+        # orientation pass, which raised png_cli's peak RSS by about 5 MB
+        row, pos, offset, value, h = _refine(
+            stack, _local_extrema(stack, 0.5 * params.contrast_threshold))
         # edge gate: the principal curvature ratio of the spatial 2x2 Hessian
         dxx, dyy, dxy = h[:, 2, 2], h[:, 1, 1], h[:, 1, 2]
         det = dxx * dyy - dxy * dxy
         trace = dxx + dyy
-        keep = (np.abs(value) >= contrast_threshold) & (det > 0)
+        keep = (np.abs(value) >= params.contrast_threshold) & (det > 0)
         keep[keep] = trace[keep] * trace[keep] / det[keep] < edge_limit
         x_oct = pos[:, 2] + offset[:, 2]
         y_oct = pos[:, 1] + offset[:, 1]
@@ -384,7 +380,7 @@ def detect_keypoints(
         rows["x_octave"], rows["y_octave"], rows["sigma_local"] = x_oct[k], y_oct[k], sigma_local[k]
         found.append(rows)
     rows = np.concatenate(found)
-    return rows[np.argsort(-rows["response"], kind="stable")[:max_keypoints]]
+    return rows[np.argsort(-rows["response"], kind="stable")[:params.max_keypoints]]
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +562,14 @@ def compute_descriptors(pyramid: ScaleSpace, keypoints: np.ndarray) -> FrameFeat
 # matching
 
 
-def match_descriptors(
-    desc_a, desc_b, ratio_threshold: float = 0.8, mutual: bool = True
-) -> np.ndarray:
-    """Lowe ratio matching from a to b.
+def match_descriptors(desc_a, desc_b, params: FeatureParams) -> np.ndarray:
+    """Lowe ratio matching from a to b at params.ratio_threshold.
 
     Returns an (M, 2) intp array of (index_a, index_b) rows in ascending
     index_a. A query with no second neighbor, or whose two nearest distances
-    are both zero, gets ratio 0 (always passes). With mutual=True a match
+    are both zero, gets ratio 0 (always passes). With params.mutual a match
     must also be b's best partner for that query.
     """
-    if not 0.0 < ratio_threshold <= 1.0:
-        raise ValueError("ratio_threshold must be in (0, 1]")
     a = np.asarray(desc_a, dtype=np.float64)
     b = np.asarray(desc_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -589,14 +581,14 @@ def match_descriptors(
     queries = np.arange(len(a))
     nearest = d2.argmin(axis=1)
     # mutual check first: d2 is masked in place below
-    keep = d2.argmin(axis=0)[nearest] == queries if mutual else np.ones(len(a), bool)
+    keep = d2.argmin(axis=0)[nearest] == queries if params.mutual else np.ones(len(a), bool)
     # recompute the winning distances directly: the quadratic expansion
     # loses precision exactly where it matters, near zero
     best = np.linalg.norm(a - b[nearest], axis=1)
     d2[queries, nearest] = np.inf
     second = np.sqrt(d2.min(axis=1))  # inf when b has one row
     ratio = np.divide(best, second, out=np.zeros_like(best), where=second > 0)
-    keep &= ratio < ratio_threshold
+    keep &= ratio < params.ratio_threshold
     return np.column_stack([queries[keep], nearest[keep]])
 
 
@@ -617,12 +609,8 @@ def extract_features(frame: Frame, params: FeatureParams | None = None) -> Frame
     work = frame
     if params.max_dim is not None and max(frame.width, frame.height) > params.max_dim:
         work, scale = resize_max_dim(frame, params.max_dim)
-    pyramid = build_scale_space(
-        work, params.octaves, params.scales_per_octave, params.base_sigma
-    )
-    kps = detect_keypoints(
-        pyramid, params.contrast_threshold, params.edge_ratio_threshold, params.max_keypoints
-    )
+    pyramid = build_scale_space(work, params)
+    kps = detect_keypoints(pyramid, params)
     # description reads no DoG level: free them before its temporaries, which
     # outweigh the gradients the pyramid keeps
     pyramid.dogs.clear()
@@ -641,9 +629,7 @@ def match_frames(feats_a: FrameFeatures, feats_b: FrameFeatures, params: Feature
     and points_b holds the pixel positions (x, y) of the keypoints of pairs[k].
     """
     params = params or FeatureParams()
-    pairs = match_descriptors(
-        feats_a.descriptors, feats_b.descriptors, params.ratio_threshold, params.mutual
-    )
+    pairs = match_descriptors(feats_a.descriptors, feats_b.descriptors, params)
     a = feats_a.keypoints[pairs[:, 0]]
     b = feats_b.keypoints[pairs[:, 1]]
     return np.column_stack([a["x"], a["y"]]), np.column_stack([b["x"], b["y"]]), pairs

@@ -9,7 +9,9 @@ the content wobbles, deforms, or teleports.
 Two entry points cover the two kinds of input: :func:`score_video` runs the
 full pixel pipeline (features -> matching -> RANSAC), while
 :func:`score_video_from_correspondences` accepts already-paired points so the
-geometric statistics can be studied without detector noise.
+geometric statistics can be studied without detector noise.  Both score
+each pair with the same estimator, so a pair's status and statistics mean
+the same on either path.
 """
 
 from __future__ import annotations
@@ -209,6 +211,16 @@ def _score_matched_points(pts_a, pts_b, params, frame_i, frame_j, seed, diagonal
     return PairScore(frame_i, frame_j, n_matches, n_inliers, mean_err, median_err, STATUS_OK)
 
 
+def _check_frames(frames):
+    """Reject fewer than 2 frames, or frames of differing dimensions."""
+    if len(frames) < 2:
+        raise ValueError("need at least 2 frames")
+    shape = frames[0].pixels.shape
+    for k, f in enumerate(frames):
+        if f.pixels.shape != shape:
+            raise ValueError(f"frame {k} dimensions differ from frame 0")
+
+
 def score_pair(
     frame_a: Frame,
     frame_b: Frame,
@@ -216,22 +228,13 @@ def score_pair(
     frame_i=0,
     frame_j=1,
     seed=0,
-    features_a=None,
-    features_b=None,
 ):
-    """Score one frame pair through the full feature pipeline.
-
-    Precomputed ``FrameFeatures`` may be passed to reuse detection work when
-    the same frame appears in several pairs.
-    """
+    """Score one frame pair through the full feature pipeline."""
     params = params or ScoringParams()
-    if frame_a.pixels.shape != frame_b.pixels.shape:
-        raise ValueError("frames must have identical dimensions")
-    if features_a is None:
-        features_a = extract_features(frame_a, params.feature_params)
-    if features_b is None:
-        features_b = extract_features(frame_b, params.feature_params)
-    pts_a, pts_b, _ = match_frames(features_a, features_b, params.feature_params)
+    _check_frames([frame_a, frame_b])
+    feats_a = extract_features(frame_a, params.feature_params)
+    feats_b = extract_features(frame_b, params.feature_params)
+    pts_a, pts_b, _ = match_frames(feats_a, feats_b, params.feature_params)
     return _score_matched_points(
         pts_a, pts_b, params, frame_i, frame_j, seed, frame_a.diagonal
     )
@@ -288,12 +291,7 @@ def score_video(
     """
     params = params or ScoringParams()
     frames = list(frames)
-    if len(frames) < 2:
-        raise ValueError("need at least 2 frames")
-    shape = frames[0].pixels.shape
-    for k, f in enumerate(frames):
-        if f.pixels.shape != shape:
-            raise ValueError(f"frame {k} dimensions differ from frame 0")
+    _check_frames(frames)
 
     motion = motion_level(frames)
     pairs = frame_pairs(len(frames), params.gaps, params.stride)
@@ -304,19 +302,11 @@ def score_video(
             if k not in feats:
                 feats[k] = extract_features(frames[k], params.feature_params)
 
-    results = [
-        score_pair(
-            frames[i],
-            frames[j],
-            params,
-            frame_i=i,
-            frame_j=j,
-            seed=seed,
-            features_a=feats[i],
-            features_b=feats[j],
-        )
-        for i, j in pairs
-    ]
+    results = []
+    for i, j in pairs:
+        pts_a, pts_b, _ = match_frames(feats[i], feats[j], params.feature_params)
+        results.append(_score_matched_points(
+            pts_a, pts_b, params, i, j, seed, frames[0].diagonal))
     return _assemble_video_score(video_id, results, motion, params, config_hash)
 
 

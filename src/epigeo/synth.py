@@ -21,9 +21,10 @@ import numpy as np
 from .epipolar import CameraMatrix
 from .image import Frame, gaussian_blur_array
 
-# sub-stream keys so each degradation has an independent, stable RNG
 TRAJECTORY_KINDS = ("orbit", "dolly", "arc")
+DEFAULT_DOT_SIGMA = 3.0  # rendered dot size, px
 
+# sub-stream keys so each degradation has an independent, stable RNG
 _JITTER_KEY = 101
 _OUTLIER_KEY = 202
 _DYNAMIC_KEY = 303
@@ -284,7 +285,7 @@ def render_dots(
     points2d,
     width: int,
     height: int,
-    dot_sigma: float = 3.0,
+    dot_sigma: float = DEFAULT_DOT_SIGMA,
     intensity_seed: int = 0,
     point_ids=None,
     texture_amplitude: float = 0.0,
@@ -334,7 +335,7 @@ def render_dots(
 def render_video(
     projected: ProjectedScene,
     spec: TrajectorySpec,
-    dot_sigma: float = 3.0,
+    dot_sigma: float = DEFAULT_DOT_SIGMA,
     intensity_seed: int = 0,
     texture_amplitude: float = 0.0,
     frame_indices=None,

@@ -261,6 +261,27 @@ def _malformed_run(case, ws, tmp):
     if case == "config_with_string_stride":
         bad = _write_json(tmp / "cfg.json", {"stride": "x"})
         return ["score", str(ws / "manifest.json"), "--config", str(bad), "--output", out], bad
+    if case in ("negative_seed_flag", "negative_seed_in_config"):
+        bad = "seed"  # the key: a flag or a config file may set it
+        if case == "negative_seed_flag":
+            return ["score", str(ws / "manifest.json"), "--seed", "-1", "--output", out], bad
+        cfg = _write_json(tmp / "cfg.json", {"seed": -2})
+        frame = str(ws / "clean" / "frames" / "frame_000.pgm")
+        return ["ssim", frame, frame, "--config", str(cfg)], bad
+    if case in ("latent_clip_not_numeric", "latent_clips_of_different_shapes",
+                "latent_t_out_of_range"):
+        item = synthetic_preference_items(1, frames=4, dims=2, seed=0)[0]
+        entries = [{"x0_w": item.x0_w.tolist(), "x0_l": item.x0_l.tolist(),
+                    "eps_w": item.eps_w.tolist(), "eps_l": item.eps_l.tolist(), "t": item.t}
+                   for _ in range(2)]
+        if case == "latent_clip_not_numeric":
+            entries[0]["x0_w"][1][0] = "a"
+        elif case == "latent_clips_of_different_shapes":
+            entries[1]["eps_l"] = entries[1]["eps_l"][:-1]
+        else:
+            entries[0]["t"] = 1.5
+        bad = _write_json(tmp / "latents.json", {"items": entries})
+        return ["dpo-demo", "--latents", str(bad), "--out", out], bad
     raise AssertionError(case)
 
 
@@ -294,6 +315,11 @@ def _malformed_run(case, ws, tmp):
     ("pgm_header_field_too_long", "more than 10 digits (byte offset 3)"),
     ("video_with_one_frame", "video 'video_with_one_frame': need at least 2 frames"),
     ("video_with_mixed_sizes", "video 'video_with_mixed_sizes': frame 1 dimensions differ"),
+    ("negative_seed_flag", "seed must be >= 0, got -1"),
+    ("negative_seed_in_config", "seed must be >= 0, got -2"),
+    ("latent_clip_not_numeric", "item 0: could not convert string to float: 'a'"),
+    ("latent_clips_of_different_shapes", "item 1: all clips must share one shape"),
+    ("latent_t_out_of_range", "item 0: t must lie in [0, 1], got 1.5"),
 ])
 def test_malformed_input_is_fatal(workspace, tmp_path, capsys, case, key):
     argv, bad = _malformed_run(case, workspace, tmp_path)

@@ -21,6 +21,10 @@ from epigeo.image import Frame, resize_max_dim
 from epigeo.synth import render_dots
 
 
+# detection settings that keep every keypoint
+UNCAPPED = FeatureParams(max_keypoints=100000)
+
+
 def dot_grid(n=50, size=256, spacing=28, jitter=4.0, seed=5, dot_sigma=3.0, tex=0.02):
     """Rendered grid of dots with known centers."""
     rng = np.random.default_rng(seed)
@@ -52,7 +56,8 @@ def positions(kps):
 class TestBuildScaleSpace:
     def test_sigma_schedule(self):
         f = Frame(np.zeros((256, 256)))
-        pyr = build_scale_space(f, octaves=3, scales_per_octave=3, base_sigma=1.6)
+        params = FeatureParams(octaves=3, scales_per_octave=3, base_sigma=1.6)
+        pyr = build_scale_space(f, params)
         assert pyr.sigma_abs(1, 0) == pytest.approx(3.2)
         assert pyr.sigma_abs(0, 3) == pytest.approx(3.2)
         assert pyr.sigma_abs(2, 2) == pytest.approx(1.6 * 2 ** (2 + 2 / 3))
@@ -60,21 +65,21 @@ class TestBuildScaleSpace:
         assert len(pyr.dogs[0]) == 5
 
     def test_downsampling_shapes(self):
-        pyr = build_scale_space(Frame(np.zeros((256, 192))), octaves=3)
+        pyr = build_scale_space(Frame(np.zeros((256, 192))), FeatureParams(octaves=3))
         assert pyr.gaussians[0][0].shape == (256, 192)
         assert pyr.gaussians[1][0].shape == (128, 96)
         assert pyr.gaussians[2][0].shape == (64, 48)
 
     def test_constant_image_zero_dog(self):
-        pyr = build_scale_space(Frame(np.full((256, 256), 0.5)), octaves=3)
+        pyr = build_scale_space(Frame(np.full((256, 256), 0.5)), FeatureParams(octaves=3))
         worst = max(np.abs(d).max() for octave in pyr.dogs for d in octave)
         assert worst < 1e-12
 
     def test_too_small_suggests_fewer_octaves(self):
         with pytest.raises(ValueError, match="fewer octaves"):
-            build_scale_space(Frame(np.zeros((100, 500))), octaves=4)
+            build_scale_space(Frame(np.zeros((100, 500))), FeatureParams(octaves=4))
         # the same frame is fine with 2 octaves
-        build_scale_space(Frame(np.zeros((100, 500))), octaves=2)
+        build_scale_space(Frame(np.zeros((100, 500))), FeatureParams(octaves=2))
 
     def test_blob_scale_selection(self):
         # analytic center response of a sigma_b blob through blur sigma is
@@ -83,7 +88,7 @@ class TestBuildScaleSpace:
         blob_sigma = 4.0
         yy, xx = np.mgrid[0:256, 0:256].astype(float)
         img = np.exp(-((xx - 128) ** 2 + (yy - 128) ** 2) / (2 * blob_sigma**2))
-        pyr = build_scale_space(Frame(img), octaves=3, scales_per_octave=3)
+        pyr = build_scale_space(Frame(img), FeatureParams(octaves=3, scales_per_octave=3))
 
         def analytic(sig):
             return blob_sigma**2 / (blob_sigma**2 + sig**2)
@@ -109,21 +114,21 @@ class TestBuildScaleSpace:
     def test_parameter_validation(self):
         f = Frame(np.zeros((256, 256)))
         with pytest.raises(ValueError):
-            build_scale_space(f, octaves=0)
+            build_scale_space(f, FeatureParams(octaves=0))
         with pytest.raises(ValueError):
-            build_scale_space(f, scales_per_octave=2)
+            build_scale_space(f, FeatureParams(scales_per_octave=2))
 
 
 class TestDetectKeypoints:
     def test_constant_image_empty(self):
-        pyr = build_scale_space(Frame(np.full((256, 256), 0.3)), octaves=3)
-        kps = detect_keypoints(pyr)
+        pyr = build_scale_space(Frame(np.full((256, 256), 0.3)), FeatureParams(octaves=3))
+        kps = detect_keypoints(pyr, FeatureParams())
         assert kps.dtype == KEYPOINT_DTYPE and kps.shape == (0,)
 
     def test_dot_grid_recall(self):
         centers, frame = dot_grid(n=50)
-        pyr = build_scale_space(frame, octaves=3)
-        pos = positions(detect_keypoints(pyr))
+        pyr = build_scale_space(frame, FeatureParams(octaves=3))
+        pos = positions(detect_keypoints(pyr, FeatureParams()))
         hits = 0
         for c in centers:
             d = np.linalg.norm(pos - c, axis=1)
@@ -133,8 +138,8 @@ class TestDetectKeypoints:
 
     def test_keypoint_invariants(self):
         _, frame = dot_grid(n=50)
-        pyr = build_scale_space(frame, octaves=3)
-        kps = detect_keypoints(pyr, contrast_threshold=0.03)
+        pyr = build_scale_space(frame, FeatureParams(octaves=3))
+        kps = detect_keypoints(pyr, FeatureParams(contrast_threshold=0.03))
         assert len(kps) > 0
         assert np.all((0 <= kps["x"]) & (kps["x"] < frame.width))
         assert np.all((0 <= kps["y"]) & (kps["y"] < frame.height))
@@ -145,25 +150,26 @@ class TestDetectKeypoints:
     def test_step_edge_rejected(self):
         img = np.zeros((256, 256))
         img[:, 128:] = 1.0
-        pyr = build_scale_space(Frame(img), octaves=3)
-        kps = detect_keypoints(pyr, edge_ratio_threshold=10.0)
+        pyr = build_scale_space(Frame(img), FeatureParams(octaves=3))
+        kps = detect_keypoints(pyr, FeatureParams(edge_ratio_threshold=10.0))
         on_edge = (np.abs(kps["x"] - 128) < 6) & (20 < kps["y"]) & (kps["y"] < 236)
         assert not on_edge.any()
 
     def test_max_keypoints_cap(self):
         _, frame = dot_grid(n=50)
-        pyr = build_scale_space(frame, octaves=3)
-        kps = detect_keypoints(pyr, max_keypoints=10)
+        pyr = build_scale_space(frame, FeatureParams(octaves=3))
+        kps = detect_keypoints(pyr, FeatureParams(max_keypoints=10))
         assert len(kps) == 10
-        full = detect_keypoints(pyr, max_keypoints=100000)
+        full = detect_keypoints(pyr, UNCAPPED)
         assert np.array_equal(kps["response"], np.sort(full["response"])[::-1][:10])
 
     def test_translation_equivariance(self):
         centers, frame = dot_grid(n=25, size=256, spacing=40, seed=8)
         shift = (13, 7)  # (dy, dx)
         rolled = Frame(np.roll(frame.pixels, shift, axis=(0, 1)))
-        kps_a = detect_keypoints(build_scale_space(frame, octaves=3))
-        kps_b = detect_keypoints(build_scale_space(rolled, octaves=3))
+        params = FeatureParams(octaves=3)
+        kps_a = detect_keypoints(build_scale_space(frame, params), params)
+        kps_b = detect_keypoints(build_scale_space(rolled, params), params)
         pos_b = positions(kps_b)
         margin = 40
         checked = 0
@@ -182,8 +188,8 @@ class TestDetectKeypoints:
 class TestComputeDescriptors:
     def test_norms_and_clip(self):
         _, frame = dot_grid(n=50)
-        pyr = build_scale_space(frame, octaves=3)
-        feats = compute_descriptors(pyr, detect_keypoints(pyr))
+        pyr = build_scale_space(frame, FeatureParams(octaves=3))
+        feats = compute_descriptors(pyr, detect_keypoints(pyr, FeatureParams()))
         assert len(feats.descriptors) > 0
         norms = np.linalg.norm(feats.descriptors, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
@@ -195,10 +201,10 @@ class TestComputeDescriptors:
         centers = rng.uniform(40, 216, size=(40, 2))
         img = render_dots(centers, 256, 256, dot_sigma=2.5, intensity_seed=3,
                           texture_amplitude=0.02)
-        pyr = build_scale_space(img, octaves=3)
-        feats = compute_descriptors(pyr, detect_keypoints(pyr))
+        pyr = build_scale_space(img, FeatureParams(octaves=3))
+        feats = compute_descriptors(pyr, detect_keypoints(pyr, FeatureParams()))
         rot = Frame(np.rot90(img.pixels))
-        pyr_r = build_scale_space(rot, octaves=3)
+        pyr_r = build_scale_space(rot, FeatureParams(octaves=3))
         size = 256
         compared = 0
         for kp, desc in list(zip(feats.keypoints, feats.descriptors))[:40]:
@@ -218,7 +224,7 @@ class TestComputeDescriptors:
 
     def test_uniform_gradient_single_bin_per_cell(self):
         ramp = np.tile(np.linspace(0.0, 1.0, 64), (64, 1))
-        pyr = build_scale_space(Frame(ramp), octaves=1)
+        pyr = build_scale_space(Frame(ramp), FeatureParams(octaves=1))
         kp = keypoint_array(x=32, y=32, scale=1.6, response=1.0, level=1,
                             x_octave=32, y_octave=32, sigma_local=1.6)
         feats = compute_descriptors(pyr, kp)
@@ -228,7 +234,7 @@ class TestComputeDescriptors:
 
     def test_window_off_image_skipped(self):
         _, frame = dot_grid(n=50)
-        pyr = build_scale_space(frame, octaves=1)
+        pyr = build_scale_space(frame, FeatureParams(octaves=1))
         kp = keypoint_array(x=1.0, y=1.0, scale=1.6, response=1.0, level=1,
                             x_octave=1.0, y_octave=1.0, sigma_local=1.6)
         feats = compute_descriptors(pyr, kp)
@@ -243,8 +249,8 @@ class TestKeypointArray:
     def detected(self):
         # dots big enough to be detected on octaves 1 and 2
         _, frame = dot_grid(n=50, dot_sigma=5.0)
-        pyr = build_scale_space(frame, octaves=3)
-        return pyr, detect_keypoints(pyr, max_keypoints=100000)
+        pyr = build_scale_space(frame, FeatureParams(octaves=3))
+        return pyr, detect_keypoints(pyr, UNCAPPED)
 
     def test_dtype(self, detected):
         pyr, kps = detected
@@ -260,7 +266,8 @@ class TestKeypointArray:
         assert np.array_equal(kps, rows[np.argsort(-response, kind="stable")])
         # so every cap is a prefix of the uncapped result
         for cap in (1, 10, len(kps) // 2):
-            assert np.array_equal(detect_keypoints(pyr, max_keypoints=cap), kps[:cap])
+            capped = detect_keypoints(pyr, FeatureParams(max_keypoints=cap))
+            assert np.array_equal(capped, kps[:cap])
 
     def test_octave_and_image_coordinates_agree(self, detected):
         pyr, kps = detected
@@ -512,18 +519,19 @@ class TestDetectAgainstReference:
         _, small = dot_grid(n=50, seed=octaves, dot_sigma=2.0)
         _, large = dot_grid(n=9, seed=octaves + 10, spacing=80, dot_sigma=4.0 * octaves)
         frame = Frame((small.pixels + large.pixels) / 2.0)
-        pyr = build_scale_space(frame, octaves=octaves)
+        pyr = build_scale_space(frame, FeatureParams(octaves=octaves))
         want = reference_detect(pyr, max_keypoints=100000)
         assert len(want) > 20 and np.unique(want["level"]).size > 1
         assert want["octave"].max() == octaves - 1
-        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=100000), want)
+        assert_same_keypoints(detect_keypoints(pyr, UNCAPPED), want)
 
     def test_detection_order_when_every_response_ties(self, monkeypatch):
         # with one response for all, the final stable sort keeps the
         # detection order, so the output shows it
         _, small = dot_grid(n=50, seed=13, dot_sigma=2.0)
         _, large = dot_grid(n=9, seed=14, spacing=80, dot_sigma=8.0)
-        pyr = build_scale_space(Frame((small.pixels + large.pixels) / 2.0), octaves=2)
+        frame = Frame((small.pixels + large.pixels) / 2.0)
+        pyr = build_scale_space(frame, FeatureParams(octaves=2))
 
         def tied_reference(*args):
             refined = reference_refine(*args)
@@ -539,12 +547,13 @@ class TestDetectAgainstReference:
             return row[back], pos[back], offset[back], np.ones(len(row)), h[back]
 
         monkeypatch.setattr(features, "_refine", tied_and_reversed)
-        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=100000), want)
+        assert_same_keypoints(detect_keypoints(pyr, UNCAPPED), want)
 
     def test_orientations_of_many_keypoints(self):
         # random positions, the border included, and scales over many radii
         _, frame = dot_grid(n=50, seed=15, tex=0.05)
-        gx, gy = reference_gradients(build_scale_space(frame, octaves=1).gaussians[0][2])
+        pyr = build_scale_space(frame, FeatureParams(octaves=1))
+        gx, gy = reference_gradients(pyr.gaussians[0][2])
         rng = np.random.default_rng(15)
         n = 2000
         x, y = rng.uniform(0, 255, n), rng.uniform(0, 255, n)
@@ -562,31 +571,32 @@ class TestDetectAgainstReference:
 
     def test_orientation_blocks(self, monkeypatch):
         _, frame = dot_grid(n=50, seed=11)
-        pyr = build_scale_space(frame, octaves=2)
+        pyr = build_scale_space(frame, FeatureParams(octaves=2))
         want = reference_detect(pyr, max_keypoints=100000)
         monkeypatch.setattr(features, "ORI_BLOCK_KEYPOINTS", 3)
-        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=100000), want)
+        assert_same_keypoints(detect_keypoints(pyr, UNCAPPED), want)
 
     @pytest.mark.parametrize("cap", [1, 7, 40])
     def test_caps(self, cap):
         _, frame = dot_grid(n=50, seed=9)
-        pyr = build_scale_space(frame, octaves=2)
-        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=cap),
+        pyr = build_scale_space(frame, FeatureParams(octaves=2))
+        assert_same_keypoints(detect_keypoints(pyr, FeatureParams(max_keypoints=cap)),
                               reference_detect(pyr, max_keypoints=cap))
 
     def test_thresholds(self):
         _, frame = dot_grid(n=50, seed=10, tex=0.05)
-        pyr = build_scale_space(frame, octaves=2)
+        pyr = build_scale_space(frame, FeatureParams(octaves=2))
         for contrast, edge in ((0.0, 10.0), (0.01, 3.0), (0.08, 30.0)):
-            assert_same_keypoints(detect_keypoints(pyr, contrast, edge, 100000),
+            assert_same_keypoints(detect_keypoints(pyr, FeatureParams(
+                contrast_threshold=contrast, edge_ratio_threshold=edge, max_keypoints=100000)),
                                   reference_detect(pyr, contrast, edge, 100000))
 
     def test_max_dim(self):
         _, frame = dot_grid(n=30, size=256, spacing=28, dot_sigma=6.0)
         work, scale = resize_max_dim(frame, 160)
         assert scale != 1.0
-        pyr = build_scale_space(work, octaves=2)
-        assert_same_keypoints(detect_keypoints(pyr), reference_detect(pyr))
+        pyr = build_scale_space(work, FeatureParams(octaves=2))
+        assert_same_keypoints(detect_keypoints(pyr, FeatureParams()), reference_detect(pyr))
 
     def test_singular_hessian_drops_only_its_own_extremum(self):
         pyr = planted_pyramid()
@@ -598,7 +608,7 @@ class TestDetectAgainstReference:
             np.linalg.solve(h[0], g[0])
         want = reference_detect(pyr)
         assert len(want) > 0 and np.all(np.hypot(want["x"] - 10, want["y"] - 10) < 1)
-        assert_same_keypoints(detect_keypoints(pyr), want)
+        assert_same_keypoints(detect_keypoints(pyr, FeatureParams()), want)
 
     def test_solve_offsets_falls_back_row_by_row(self):
         rng = np.random.default_rng(12)
@@ -627,11 +637,11 @@ class TestDetectAgainstReference:
         want = reference_detect(pyr, max_keypoints=100000)
         near = np.minimum(want["x_octave"], want["y_octave"]) < 2
         assert near.any() and np.unique(want["octave"]).size == 2
-        assert_same_keypoints(detect_keypoints(pyr, max_keypoints=100000), want)
+        assert_same_keypoints(detect_keypoints(pyr, UNCAPPED), want)
 
     def test_constant_image(self):
-        pyr = build_scale_space(Frame(np.full((64, 64), 0.4)), octaves=1)
-        assert_same_keypoints(detect_keypoints(pyr), reference_detect(pyr))
+        pyr = build_scale_space(Frame(np.full((64, 64), 0.4)), FeatureParams(octaves=1))
+        assert_same_keypoints(detect_keypoints(pyr, FeatureParams()), reference_detect(pyr))
 
 
 @settings(max_examples=200, deadline=None)
@@ -733,8 +743,8 @@ class TestDescriptorsAgainstReference:
     @pytest.mark.parametrize("octaves", [1, 2, 3])
     def test_bit_identical_to_per_keypoint_loop(self, octaves):
         _, frame = dot_grid(n=50, seed=octaves)
-        pyr = build_scale_space(frame, octaves=octaves)
-        kps = detect_keypoints(pyr)
+        pyr = build_scale_space(frame, FeatureParams(octaves=octaves))
+        kps = detect_keypoints(pyr, FeatureParams())
         # mixed levels and input order; the crowded level spans three blocks
         kps = np.concatenate([kps, crowded_level(pyr, 2 * DESC_BLOCK_KEYPOINTS + 7, seed=octaves)])
         kps = kps[np.random.default_rng(octaves).permutation(len(kps))]
@@ -747,7 +757,7 @@ class TestDescriptorsAgainstReference:
 
     def test_no_keypoints(self):
         _, frame = dot_grid(n=10)
-        feats = compute_descriptors(build_scale_space(frame, octaves=1),
+        feats = compute_descriptors(build_scale_space(frame, FeatureParams(octaves=1)),
                                     np.empty(0, dtype=KEYPOINT_DTYPE))
         assert feats.keypoints.dtype == KEYPOINT_DTYPE and len(feats.keypoints) == 0
         assert feats.skipped == 0
@@ -806,7 +816,7 @@ class TestMatchDescriptors:
     def test_identity_matching(self):
         d = random_unit_descriptors(20, 1)
         # every best distance is exact, so every ratio is 0 and passes any threshold
-        pairs = match_descriptors(d, d, ratio_threshold=1e-9, mutual=True)
+        pairs = match_descriptors(d, d, FeatureParams(ratio_threshold=1e-9, mutual=True))
         assert pairs.dtype == np.intp
         assert np.array_equal(pairs, np.column_stack([np.arange(20), np.arange(20)]))
 
@@ -816,7 +826,7 @@ class TestMatchDescriptors:
         b = a + rng.normal(0, 0.01, a.shape)
         b = np.abs(b)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        pairs = match_descriptors(a, b, ratio_threshold=0.8, mutual=False)
+        pairs = match_descriptors(a, b, FeatureParams(ratio_threshold=0.8, mutual=False))
         correct = int(np.count_nonzero(pairs[:, 0] == pairs[:, 1]))
         assert correct >= 95
 
@@ -824,19 +834,19 @@ class TestMatchDescriptors:
         a = random_unit_descriptors(1, 4)
         b = random_unit_descriptors(1, 5)
         # with no second neighbor the ratio is 0 and passes any threshold
-        pairs = match_descriptors(a, b, ratio_threshold=1e-9)
+        pairs = match_descriptors(a, b, FeatureParams(ratio_threshold=1e-9))
         assert np.array_equal(pairs, [[0, 0]])
 
     def test_empty_sides(self):
         d = random_unit_descriptors(3, 6)
-        for pairs in (match_descriptors(np.empty((0, 128)), d),
-                      match_descriptors(d, np.empty((0, 128)))):
+        for pairs in (match_descriptors(np.empty((0, 128)), d, FeatureParams()),
+                      match_descriptors(d, np.empty((0, 128)), FeatureParams())):
             assert pairs.shape == (0, 2) and pairs.dtype == np.intp
 
     def test_ratio_one_no_mutual_is_nearest_neighbor(self):
         a = random_unit_descriptors(30, 7)
         b = random_unit_descriptors(50, 8)
-        pairs = match_descriptors(a, b, ratio_threshold=1.0, mutual=False)
+        pairs = match_descriptors(a, b, FeatureParams(ratio_threshold=1.0, mutual=False))
         assert len(pairs) == 30
 
     def test_all_matches_respect_threshold(self):
@@ -846,7 +856,7 @@ class TestMatchDescriptors:
         second = np.sort(dist, axis=1)[:, 1]
         total = 0
         for thr in (0.6, 0.8, 0.95):
-            pairs = match_descriptors(a, b, ratio_threshold=thr, mutual=False)
+            pairs = match_descriptors(a, b, FeatureParams(ratio_threshold=thr, mutual=False))
             ratios = dist[pairs[:, 0], pairs[:, 1]] / second[pairs[:, 0]]
             assert np.all(ratios < thr)
             total += len(pairs)
@@ -855,16 +865,16 @@ class TestMatchDescriptors:
     def test_mutual_filter_subset(self):
         a = random_unit_descriptors(40, 11)
         b = random_unit_descriptors(40, 12)
-        loose = {tuple(p) for p in match_descriptors(a, b, 0.95, mutual=False)}
-        strict = {tuple(p) for p in match_descriptors(a, b, 0.95, mutual=True)}
-        assert strict <= loose
+        loose = match_descriptors(a, b, FeatureParams(ratio_threshold=0.95, mutual=False))
+        strict = match_descriptors(a, b, FeatureParams(ratio_threshold=0.95, mutual=True))
+        assert {tuple(p) for p in strict} <= {tuple(p) for p in loose}
 
     def test_bad_threshold(self):
         d = random_unit_descriptors(3, 13)
         with pytest.raises(ValueError):
-            match_descriptors(d, d, ratio_threshold=0.0)
+            match_descriptors(d, d, FeatureParams(ratio_threshold=0.0))
         with pytest.raises(ValueError):
-            match_descriptors(d, d, ratio_threshold=1.5)
+            match_descriptors(d, d, FeatureParams(ratio_threshold=1.5))
 
 
 class TestMatchAgainstReference:
@@ -883,7 +893,7 @@ class TestMatchAgainstReference:
                 b[rng.integers(0, n_b, size=n_b // 3 + 1)] = b[0]
                 a[: max(1, n_a // 4)] = b[0]
             expected, _, _ = reference_matches(a, b, threshold, mutual)
-            pairs = match_descriptors(a, b, threshold, mutual)
+            pairs = match_descriptors(a, b, FeatureParams(ratio_threshold=threshold, mutual=mutual))
             assert pairs.dtype == np.intp and pairs.shape == expected.shape
             assert np.array_equal(pairs, expected), (n_a, n_b)
 
@@ -939,9 +949,10 @@ class TestExtractAndCache:
     @pytest.mark.parametrize("max_keypoints", [2000, 7])
     def test_each_level_is_differentiated_once(self, monkeypatch, max_keypoints):
         _, frame = dot_grid(n=30, size=192, spacing=24)
-        kps = detect_keypoints(build_scale_space(frame, octaves=3), max_keypoints=max_keypoints)
+        params = FeatureParams(octaves=3, max_keypoints=max_keypoints)
+        kps = detect_keypoints(build_scale_space(frame, params), params)
         # described from a pyramid that has differentiated no level yet
-        alone = compute_descriptors(build_scale_space(frame, octaves=3), kps)
+        alone = compute_descriptors(build_scale_space(frame, params), kps)
         differentiated = []
         gradient = np.gradient
 
@@ -950,10 +961,10 @@ class TestExtractAndCache:
             return gradient(img)
 
         monkeypatch.setattr(np, "gradient", spy)
-        detect_keypoints(build_scale_space(frame, octaves=3), max_keypoints=max_keypoints)
+        detect_keypoints(build_scale_space(frame, params), params)
         by_detection = len(differentiated)
         differentiated.clear()
-        shared = extract_features(frame, FeatureParams(octaves=3, max_keypoints=max_keypoints))
+        shared = extract_features(frame, params)
         # description differentiates no level again; the images stay
         # referenced, so their ids are distinct while compared
         assert by_detection > 0

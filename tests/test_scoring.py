@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epigeo.features import FeatureParams
+from epigeo.features import FeatureParams, extract_features, match_frames
 from epigeo.image import Frame
 from epigeo.scoring import (
     STATUS_DEGENERATE,
@@ -272,6 +272,27 @@ def test_score_pair_rendered_orbit_clean():
     assert p.status == STATUS_OK
     assert p.mean_inlier_sampson < 0.5  # px^2
     assert p.n_inliers >= 30
+
+
+def test_every_entry_point_scores_a_pair_alike():
+    frames = dot_video(3, n_render=3, size=192)
+    params = ScoringParams(
+        gaps=(1, 2), stride=1, min_matches=16, ransac_iterations=200,
+        inlier_threshold=25.0, feature_params=FeatureParams(octaves=2, ratio_threshold=0.85),
+    )
+    video = score_video(frames, params, seed=5)
+    assert [p.status for p in video.pair_scores].count(STATUS_OK) >= 2
+    feats = [extract_features(f, params.feature_params) for f in frames]
+    matched = {
+        (p.frame_i, p.frame_j): match_frames(feats[p.frame_i], feats[p.frame_j],
+                                             params.feature_params)[:2]
+        for p in video.pair_scores
+    }
+    corr = score_video_from_correspondences(matched, params, seed=5, diagonal=frames[0].diagonal)
+    assert corr.pair_scores == video.pair_scores
+    for p in video.pair_scores:
+        assert score_pair(frames[p.frame_i], frames[p.frame_j], params,
+                          p.frame_i, p.frame_j, seed=5) == p
 
 
 def test_score_pair_dimension_mismatch():

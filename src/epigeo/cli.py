@@ -12,6 +12,9 @@ config is hashed and embedded in every output artifact, and all outputs are
 deterministic given flags plus seed (reruns are byte identical).  `rank` reads
 no configuration; its output carries the config hash of its scores file.
 
+`score` scores its videos in worker processes, one per video up to the CPUs
+the process may run on; its outputs do not depend on the number of workers.
+
 Malformed input files end in a fatal error that names the file and the
 offending key.  Exit codes: 0 success, 1 fatal error, 2 partial success (some
 videos flagged or groups skipped), 64 usage error.
@@ -24,7 +27,9 @@ import hashlib
 import json
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 
 from . import __version__
 from .alignment import (
@@ -151,15 +156,25 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Defaults, then config-file values, then explicit flag overrides."""
     values = {}
     if path is not None:
-        file_values = _read_json_object(path, "config file")
-        unknown = set(file_values) - set(_DEFAULTS)
+        values = _read_json_object(path, "config file")
+        unknown = set(values) - set(_DEFAULTS)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_values.items():
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for key, value in values.items():
             if not _fits(value, _DEFAULTS[key]):
                 raise ValueError(f"{path}: config key {key!r} has the wrong type: {value!r}")
-        values.update(file_values)
+        # the file must hold a valid config by itself, so that the records'
+        # range errors can name it; a flag's value names no file
+        try:
+            _build_config(values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     values.update({k: v for k, v in overrides.items() if v is not None})
+    return _build_config(values)
+
+
+def _build_config(values: dict) -> RunConfig:
+    """The RunConfig of flat config keys, defaults filling those not given."""
 
     def pick(keys):
         return {k: values[k] for k in keys if k in values}
@@ -225,8 +240,12 @@ def collect_videos(input_path: str):
         manifest = _read_json_object(input_path, "manifest")
         base = os.path.dirname(os.path.abspath(input_path))
         videos = []
+        seen = set()
         for entry in _require_type(manifest.get("videos", []), list, "videos", input_path):
-            vid = _require(entry, "id", input_path)
+            vid = _require_id(_require(entry, "id", input_path), "id", input_path)
+            if vid in seen:
+                raise ValueError(f"{input_path}: video id {vid!r} appears more than once")
+            seen.add(vid)
             if "frames" in entry:
                 frames = _require_type(entry["frames"], list, "frames", input_path)
                 paths = [os.path.join(base, _require_type(p, str, "frames", input_path))
@@ -408,6 +427,30 @@ def cmd_synth(args) -> int:
     return _finish(args, chash, corr_path, scene_path)
 
 
+def _score_one(video, config: RunConfig, chash: str):
+    """The VideoScore of one (video_id, frame_paths) entry; runs in a worker."""
+    vid, paths = video
+    try:
+        return score_video(load_frames(paths), config.scoring, video_id=vid,
+                           seed=config.seed, config_hash=chash)
+    except ValueError as exc:
+        raise ValueError(f"video {vid!r}: {exc}") from None
+
+
+def _score_workers(n_videos: int) -> int:
+    """Processes to score ``n_videos`` with: one per video, up to the usable CPUs.
+
+    1 (score in this process) where the platform cannot fork or report the
+    CPUs the process may use, and while another thread runs: a forked child
+    holds only the forking thread, so a lock another thread holds never opens.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(n_videos, len(os.sched_getaffinity(0)))
+
+
 def cmd_score(args) -> int:
     config = load_config(args.config, config_overrides(args))
     videos = collect_videos(args.input)
@@ -415,13 +458,20 @@ def cmd_score(args) -> int:
         print(f"error: no frames found under {args.input}", file=sys.stderr)
         return EXIT_FATAL
     chash = config.config_hash
-    scores = []
-    for vid, paths in videos:
-        try:
-            scores.append(score_video(load_frames(paths), config.scoring, video_id=vid,
-                                      seed=config.seed, config_hash=chash))
-        except ValueError as exc:
-            raise ValueError(f"video {vid!r}: {exc}") from None
+    work = (videos, repeat(config), repeat(chash))
+    workers = _score_workers(len(videos))
+    if workers == 1:
+        scores = list(map(_score_one, *work))
+    else:
+        # imported here: loading them adds 16-18 ms to every start of the CLI
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: the workers inherit the loaded NumPy and epigeo instead of importing
+        # them. map yields in input order and, at the first error, cancels the
+        # videos no worker has taken yet.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            scores = list(pool.map(_score_one, *work))
     records = [video_score_to_record(vs, per_pair=args.per_pair) for vs in scores]
     write_jsonl(args.output, records, _header(chash, record="video_score"))
     flagged = any(vs.near_static or vs.insufficient_texture for vs in scores)

@@ -45,6 +45,10 @@ class DecodeError(ValueError):
         self.message = message
         self.offset = offset
 
+    def __reduce__(self):
+        # the default rebuilds from the formatted text alone and lacks `offset`
+        return type(self), (self.message, self.offset)
+
 
 @dataclass
 class Frame:

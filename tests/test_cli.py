@@ -7,6 +7,9 @@ surface as SystemExit(64).
 import json
 import os
 import struct
+import subprocess
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -144,12 +147,35 @@ def _scores_lacking(ws, tmp, key):
     return path
 
 
+def _truncated_png(path):
+    """A PNG holding its signature and IHDR, then ending where the next chunk should start."""
+    ihdr = b"IHDR" + struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + ihdr
+                     + struct.pack(">I", zlib.crc32(ihdr)))
+    return path
+
+
+# config files each holding one bad value or key
+_BAD_CONFIGS = {
+    "config_with_string_stride": {"stride": "x"},
+    "config_with_zero_octaves": {"octaves": 0},
+    "config_with_empty_gaps": {"gaps": []},
+    "config_with_small_max_dim": {"max_dim": 8},
+    "config_with_unknown_key": {"bogus": 1},
+}
+
+
 def _malformed_run(case, ws, tmp):
     """(argv, malformed file) for one subcommand reading one bad input."""
     out = str(tmp / "out")
     scores, groups = ws / "scores.jsonl", ws / "groups.json"
     if case == "manifest_entry_without_id":
         bad = _write_json(tmp / "manifest.json", {"videos": [{"dir": "clean/frames"}]})
+        return ["score", str(bad), "--output", out], bad
+    if case == "manifest_duplicate_video_id":
+        bad = _write_json(tmp / "manifest.json", {"videos": [
+            {"id": "a", "dir": str(ws / "clean" / "frames")},
+            {"id": "a", "dir": str(ws / "shaky" / "frames")}]})
         return ["score", str(bad), "--output", out], bad
     if case == "manifest_is_a_list":
         bad = _write_json(tmp / "manifest.json", [{"id": "clean", "dir": "clean/frames"}])
@@ -225,11 +251,7 @@ def _malformed_run(case, ws, tmp):
     if case == "truncated_png_frame":
         frames = tmp / "video"
         frames.mkdir()
-        bad = frames / "frame_000.png"
-        ihdr = b"IHDR" + struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
-        # signature and IHDR, then the stream ends where the next chunk should start
-        bad.write_bytes(b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + ihdr
-                        + struct.pack(">I", zlib.crc32(ihdr)))
+        bad = _truncated_png(frames / "frame_000.png")
         return ["score", str(frames), "--output", out], bad
     if case == "png_dimensions_past_the_limit":
         frames = tmp / "video"
@@ -258,8 +280,8 @@ def _malformed_run(case, ws, tmp):
                 write_pgm(Frame(np.full((height, 300), 0.5)), frames / f"frame_{k:03d}.pgm")
             bad = case  # the video id: no single file is at fault
         return ["score", str(frames), "--output", out], bad
-    if case == "config_with_string_stride":
-        bad = _write_json(tmp / "cfg.json", {"stride": "x"})
+    if case in _BAD_CONFIGS:
+        bad = _write_json(tmp / "cfg.json", _BAD_CONFIGS[case])
         return ["score", str(ws / "manifest.json"), "--config", str(bad), "--output", out], bad
     if case in ("negative_seed_flag", "negative_seed_in_config"):
         bad = "seed"  # the key: a flag or a config file may set it
@@ -288,6 +310,7 @@ def _malformed_run(case, ws, tmp):
 @pytest.mark.parametrize("case, key", [
     ("manifest_entry_without_id", "id"),
     ("manifest_is_a_list", "JSON object"),
+    ("manifest_duplicate_video_id", "video id 'a' appears more than once"),
     ("rank_scores_without_error", "consistency_error"),
     ("pairs_scores_without_error", "consistency_error"),
     ("group_without_video_ids", "video_ids"),
@@ -297,6 +320,10 @@ def _malformed_run(case, ws, tmp):
     ("latent_without_x0_l", "x0_l"),
     ("latent_with_null_t", "'t'"),
     ("config_with_string_stride", "stride"),
+    ("config_with_zero_octaves", "octaves must be >= 1"),
+    ("config_with_empty_gaps", "gaps must be non-empty"),
+    ("config_with_small_max_dim", "max_dim must be None or >= 16"),
+    ("config_with_unknown_key", "unknown config keys: ['bogus']"),
     ("manifest_videos_not_a_list", "'videos'"),
     ("manifest_frames_not_a_list", "'frames'"),
     ("groups_not_a_list", "'groups'"),
@@ -339,6 +366,14 @@ def test_invalid_feature_settings_are_fatal(workspace, tmp_path, capsys, flags):
     assert code == EXIT_FATAL
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_bad_flag_beside_a_valid_config_file_names_no_file(workspace, tmp_path, capsys):
+    cfg = _write_json(tmp_path / "cfg.json", {"stride": 1})
+    code = main(["score", str(workspace / "manifest.json"), "--config", str(cfg),
+                 "--output", str(tmp_path / "out.jsonl"), "--octaves", "0"])
+    assert code == EXIT_FATAL
+    assert capsys.readouterr().err == "error: octaves must be >= 1\n"
 
 
 # --------------------------------------------------------------------- config
@@ -548,6 +583,87 @@ def test_check_fails_on_a_foreign_hash(workspace, pairs_file, tmp_path, capsys, 
     monkeypatch.setattr(cli, "_header", lambda chash, **extra: real_header("0" * 16, **extra))
     assert main(argv + ["--check"]) == EXIT_FATAL
     assert capsys.readouterr().err == "error: embedded config hash mismatch\n"
+
+
+# ----------------------------------------------------------- worker processes
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="score forks its workers")
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@needs_fork
+def test_score_output_does_not_depend_on_worker_count(workspace, tmp_path, monkeypatch):
+    for cpus in (1, 2, 3):
+        _usable_cpus(monkeypatch, cpus)
+        assert cli._score_workers(3) == cpus
+        out = tmp_path / f"scores_{cpus}.jsonl"
+        code = main(["score", str(workspace / "manifest.json"),
+                     "--output", str(out), "--per-pair"] + SCORE_FLAGS)
+        assert code == EXIT_PARTIAL
+        assert out.read_bytes() == (workspace / "scores.jsonl").read_bytes()
+
+
+@needs_fork
+def test_worker_error_reads_as_in_process(workspace, tmp_path, monkeypatch, capsys):
+    """The error of the first failing video in input order, with its file and
+    byte offset, whether it was raised in a worker or in this process."""
+    broken, short = tmp_path / "broken", tmp_path / "short"
+    broken.mkdir()
+    short.mkdir()
+    bad = _truncated_png(broken / "frame_000.png")
+    (short / "frame_000.pgm").write_bytes((workspace / "clean" / "frames" / "frame_000.pgm").read_bytes())
+    manifest = _write_json(tmp_path / "manifest.json", {"videos": [
+        {"id": "clean", "dir": str(workspace / "clean" / "frames")},
+        {"id": "broken", "dir": str(broken)},
+        {"id": "short", "dir": str(short)}]})
+    argv = ["score", str(manifest), "--output", str(tmp_path / "out.jsonl")] + SCORE_FLAGS
+    errors = []
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        assert cli._score_workers(3) == cpus
+        assert main(argv) == EXIT_FATAL
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: video 'broken': ")
+    assert str(bad) in errors[0]
+    assert "truncated PNG chunk" in errors[0] and "(byte offset 33)" in errors[0]
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@needs_fork
+@pytest.mark.parametrize("videos, cpus", [(1, 4), (2, 2), (3, 2), (5, 1)])
+def test_worker_count_is_bounded_by_videos_and_cpus(monkeypatch, videos, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    assert cli._score_workers(videos) == min(videos, cpus)
+
+
+@needs_fork
+def test_scoring_stays_in_process_without_fork_or_beside_a_thread(monkeypatch):
+    _usable_cpus(monkeypatch, 4)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, daemon=True)
+    thread.start()
+    try:
+        assert cli._score_workers(4) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert cli._score_workers(4) == 4
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli._score_workers(4) == 1
+
+
+def test_cli_start_up_loads_no_pool_module():
+    code = ("import sys, epigeo.cli; epigeo.cli.build_parser(); "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------- rank

@@ -1,5 +1,6 @@
 """Tests for frame decoding, Gaussian blur, SSIM, and motion level."""
 
+import pickle
 import struct
 import tracemalloc
 import zlib
@@ -433,6 +434,14 @@ class TestDecodePNG:
         with pytest.raises(DecodeError) as exc:
             decode_frame(data[:20])
         assert exc.value.offset == 16
+
+    def test_decode_error_survives_pickling(self):
+        # worker processes send their errors back pickled
+        with pytest.raises(DecodeError) as exc:
+            decode_frame(make_png(np.zeros((2, 2), dtype=np.uint8))[:20])
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert type(copy) is DecodeError
+        assert (str(copy), copy.message, copy.offset) == (str(exc.value), exc.value.message, 16)
 
     def test_inflate_bomb_rejected_without_inflating(self):
         # a valid zlib stream of 256 MiB of zeros (about 260 KB compressed):

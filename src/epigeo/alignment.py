@@ -8,7 +8,8 @@ from collapsing to static output.
 
 Everything here is small and exact on purpose: clips are plain (frames, dims)
 arrays, the demonstrator model is linear in its inputs, gradients are written
-out analytically, and a finite-difference checker verifies them.
+out analytically, and a finite-difference checker verifies them.  Margin, loss
+and gradient come from one forward pass over an item, validated once.
 """
 
 from __future__ import annotations
@@ -113,9 +114,6 @@ class LinearVelocityModel:
         c = params[dim * dim + dim :]
         return cls(w.copy(), b.copy(), c.copy())
 
-    def copy(self) -> "LinearVelocityModel":
-        return LinearVelocityModel(self.w.copy(), self.b.copy(), self.c.copy())
-
     def evaluate(self, x_t, t: float) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)
         return x_t @ self.w.T + t * self.b + self.c
@@ -165,10 +163,30 @@ def predict_clean(x_t, t: float, v, mode: str = DEFAULT_CLEAN_MODE) -> np.ndarra
 
 
 def _squared_error(target, predicted, term: str) -> float:
-    err = float(np.sum((target - predicted) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by name below
+        err = float(np.sum((target - predicted) ** 2))
     if not np.isfinite(err):
         raise FloatingPointError(f"non-finite squared-error term {term}")
     return err
+
+
+def _forward(item: DpoBatchItem, model_theta, model_ref, beta: float):
+    """One pass over both branches: ([(x_t, v, theta prediction)] winner
+    first, beta_t, margin z).  DpoBatchItem has validated the clips."""
+    t = item.t
+    branches, excess = [], []
+    for x0, eps, tag in ((item.x0_w, item.eps_w, "w"), (item.x0_l, item.eps_l, "l")):
+        x_t = (1.0 - t) * x0 + t * eps
+        v = eps - x0
+        pred = model_theta.evaluate(x_t, t)
+        e_theta = _squared_error(v, pred, f"e_theta_{tag}")
+        excess.append(e_theta - _squared_error(v, model_ref.evaluate(x_t, t), f"e_ref_{tag}"))
+        branches.append((x_t, v, pred))
+    bt = beta_schedule(t, beta)
+    z = -(bt / 2.0) * (excess[0] - excess[1])
+    if not np.isfinite(z):
+        raise FloatingPointError("non-finite preference margin")
+    return branches, bt, z
 
 
 def reward_margin(item: DpoBatchItem, model_theta, model_ref, beta: float = DEFAULT_BETA) -> float:
@@ -177,19 +195,7 @@ def reward_margin(item: DpoBatchItem, model_theta, model_ref, beta: float = DEFA
 
     Positive means theta prefers the winner; the loss drives this up.
     """
-    x_t_w = interpolate(item.x0_w, item.eps_w, item.t)
-    x_t_l = interpolate(item.x0_l, item.eps_l, item.t)
-    v_w = target_velocity(item.x0_w, item.eps_w)
-    v_l = target_velocity(item.x0_l, item.eps_l)
-    e_theta_w = _squared_error(v_w, model_theta.evaluate(x_t_w, item.t), "e_theta_w")
-    e_ref_w = _squared_error(v_w, model_ref.evaluate(x_t_w, item.t), "e_ref_w")
-    e_theta_l = _squared_error(v_l, model_theta.evaluate(x_t_l, item.t), "e_theta_l")
-    e_ref_l = _squared_error(v_l, model_ref.evaluate(x_t_l, item.t), "e_ref_l")
-    bt = beta_schedule(item.t, beta)
-    z = -(bt / 2.0) * ((e_theta_w - e_ref_w) - (e_theta_l - e_ref_l))
-    if not np.isfinite(z):
-        raise FloatingPointError("non-finite preference margin")
-    return z
+    return _forward(item, model_theta, model_ref, beta)[2]
 
 
 def flow_dpo_loss(item: DpoBatchItem, model_theta, model_ref, beta: float = DEFAULT_BETA) -> float:
@@ -210,36 +216,6 @@ def temporal_penalty(x0_hat, lam: float = DEFAULT_LAMBDA) -> float:
     return float(-lam * variances.mean())
 
 
-def total_loss(
-    item: DpoBatchItem,
-    model_theta,
-    model_ref,
-    beta: float = DEFAULT_BETA,
-    lam: float = DEFAULT_LAMBDA,
-    penalty_branch: str = DEFAULT_PENALTY_BRANCH,
-    clean_mode: str = DEFAULT_CLEAN_MODE,
-) -> float:
-    """Preference loss plus the temporal penalty on reconstructed clean clips.
-
-    The penalty applies to the clean sample predicted by theta on the winner
-    branch (default) or averaged over both branches.
-    """
-    if penalty_branch not in PENALTY_BRANCHES:
-        raise ValueError(f"penalty_branch must be one of {PENALTY_BRANCHES}")
-    loss = flow_dpo_loss(item, model_theta, model_ref, beta)
-    if lam == 0:
-        return loss
-    branches = [(item.x0_w, item.eps_w)]
-    if penalty_branch == "both":
-        branches.append((item.x0_l, item.eps_l))
-    pen = 0.0
-    for x0, eps in branches:
-        x_t = interpolate(x0, eps, item.t)
-        x0_hat = predict_clean(x_t, item.t, model_theta.evaluate(x_t, item.t), clean_mode)
-        pen += temporal_penalty(x0_hat, lam)
-    return loss + pen / len(branches)
-
-
 def _neg_sigmoid_neg(z: float) -> float:
     """-sigmoid(-z) without overflow for large |z|."""
     if z >= 0:
@@ -256,6 +232,56 @@ def _model_gradient_from_residual(residual, x_t, t):
     return np.concatenate([gw.ravel(), gb, gc])
 
 
+def _loss_and_gradient(item, model_theta, model_ref, beta, lam, penalty_branch, clean_mode):
+    """total_loss and its analytic gradient wrt theta's flat parameters."""
+    if penalty_branch not in PENALTY_BRANCHES:
+        raise ValueError(f"penalty_branch must be one of {PENALTY_BRANCHES}")
+    if clean_mode not in CLEAN_MODES:
+        raise ValueError(f"clean_mode must be one of {CLEAN_MODES}")
+    if not lam >= 0:
+        raise ValueError("lam must be >= 0")
+    t = item.t
+    branches, bt, z = _forward(item, model_theta, model_ref, beta)
+    loss = float(np.logaddexp(0.0, -z))
+
+    # d e / d params through the residual -2 (target - prediction)
+    grad_e_w, grad_e_l = (_model_gradient_from_residual(-2.0 * (v - pred), x_t, t)
+                          for x_t, v, pred in branches)
+    dz_dparams = -(bt / 2.0) * (grad_e_w - grad_e_l)
+    grad = _neg_sigmoid_neg(z) * dz_dparams  # d softplus(-z) / dz, chained
+
+    if lam > 0:
+        # clean sample is x_t + alpha v, so d x0_hat / d v = alpha
+        alpha = -t if clean_mode == "self_consistent" else (1.0 - t)
+        penalized = branches if penalty_branch == "both" else branches[:1]
+        pen = 0.0
+        for x_t, _, pred in penalized:
+            x0_hat = x_t + alpha * pred
+            centered = x0_hat - x0_hat.mean(axis=0)
+            pen += float(-lam * np.mean(centered**2, axis=0).mean())
+            dpen_dhat = -lam * 2.0 * centered / centered.size
+            grad = grad + _model_gradient_from_residual(alpha * dpen_dhat, x_t, t) / len(penalized)
+        loss = loss + pen / len(penalized)
+    return loss, grad
+
+
+def total_loss(
+    item: DpoBatchItem,
+    model_theta,
+    model_ref,
+    beta: float = DEFAULT_BETA,
+    lam: float = DEFAULT_LAMBDA,
+    penalty_branch: str = DEFAULT_PENALTY_BRANCH,
+    clean_mode: str = DEFAULT_CLEAN_MODE,
+) -> float:
+    """Preference loss plus the temporal penalty on reconstructed clean clips.
+
+    The penalty applies to the clean sample predicted by theta on the winner
+    branch (default) or averaged over both branches.
+    """
+    return _loss_and_gradient(item, model_theta, model_ref, beta, lam, penalty_branch, clean_mode)[0]
+
+
 def total_loss_gradient(
     item: DpoBatchItem,
     model_theta: LinearVelocityModel,
@@ -266,41 +292,7 @@ def total_loss_gradient(
     clean_mode: str = DEFAULT_CLEAN_MODE,
 ) -> np.ndarray:
     """Analytic gradient of total_loss wrt model_theta's flat parameters."""
-    if penalty_branch not in PENALTY_BRANCHES:
-        raise ValueError(f"penalty_branch must be one of {PENALTY_BRANCHES}")
-    if clean_mode not in CLEAN_MODES:
-        raise ValueError(f"clean_mode must be one of {CLEAN_MODES}")
-    t = item.t
-    x_t_w = interpolate(item.x0_w, item.eps_w, t)
-    x_t_l = interpolate(item.x0_l, item.eps_l, t)
-    v_w = target_velocity(item.x0_w, item.eps_w)
-    v_l = target_velocity(item.x0_l, item.eps_l)
-    pred_w = model_theta.evaluate(x_t_w, t)
-    pred_l = model_theta.evaluate(x_t_l, t)
-
-    z = reward_margin(item, model_theta, model_ref, beta)
-    bt = beta_schedule(t, beta)
-    dloss_dz = _neg_sigmoid_neg(z)  # d softplus(-z) / dz
-
-    # d e / d params through the residual -2 (target - prediction)
-    grad_e_w = _model_gradient_from_residual(-2.0 * (v_w - pred_w), x_t_w, t)
-    grad_e_l = _model_gradient_from_residual(-2.0 * (v_l - pred_l), x_t_l, t)
-    dz_dparams = -(bt / 2.0) * (grad_e_w - grad_e_l)
-    grad = dloss_dz * dz_dparams
-
-    if lam > 0:
-        # clean sample is x_t + alpha v, so d x0_hat / d v = alpha
-        alpha = -t if clean_mode == "self_consistent" else (1.0 - t)
-        branches = [(x_t_w, pred_w)]
-        if penalty_branch == "both":
-            branches.append((x_t_l, pred_l))
-        for x_t, pred in branches:
-            x0_hat = x_t + alpha * pred
-            n_frames, n_dims = x0_hat.shape
-            centered = x0_hat - x0_hat.mean(axis=0)
-            dpen_dhat = -lam * 2.0 * centered / (n_frames * n_dims)
-            grad = grad + _model_gradient_from_residual(alpha * dpen_dhat, x_t, t) / len(branches)
-    return grad
+    return _loss_and_gradient(item, model_theta, model_ref, beta, lam, penalty_branch, clean_mode)[1]
 
 
 def grad_check(loss_fn, grad, params, h: float = 1e-5) -> float:
@@ -363,9 +355,9 @@ def toy_train(
         raise ValueError("need at least one training item")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    model = model_ref.copy()
-    params = model.parameters
-    dim = model.dim
+    params = model_ref.parameters
+    dim = model_ref.dim
+    objective = (beta, lam, penalty_branch, clean_mode)
     trace = []
 
     def batch_loss_and_grad(p):
@@ -373,8 +365,9 @@ def toy_train(
         loss = 0.0
         grad = np.zeros_like(p)
         for item in items:  # fixed-order summation keeps results bit-stable
-            loss += total_loss(item, m, model_ref, beta, lam, penalty_branch, clean_mode)
-            grad += total_loss_gradient(item, m, model_ref, beta, lam, penalty_branch, clean_mode)
+            item_loss, item_grad = _loss_and_gradient(item, m, model_ref, *objective)
+            loss += item_loss
+            grad += item_grad
         return loss / len(items), grad / len(items)
 
     for _ in range(steps):

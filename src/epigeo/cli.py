@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import threading
@@ -58,7 +59,7 @@ from .dataset import (
     rank_group,
 )
 from .features import FeatureParams
-from .image import DecodeError, ssim
+from .image import ssim
 from .io import (
     canonical_json,
     list_frame_files,
@@ -175,6 +176,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _build_config(values: dict) -> RunConfig:
     """The RunConfig of flat config keys, defaults filling those not given."""
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite, got {value}")
 
     def pick(keys):
         return {k: values[k] for k in keys if k in values}
@@ -232,6 +236,12 @@ def _require_number(entry, key: str, path: str) -> float:
 
 # ------------------------------------------------------------------ input sets
 
+def _frame_files(directory: str) -> list:
+    """The frame files of a directory, or else those of its frames/ child."""
+    nested = os.path.join(directory, "frames")
+    return list_frame_files(directory) or (list_frame_files(nested) if os.path.isdir(nested) else [])
+
+
 def collect_videos(input_path: str):
     """Resolve a frame directory or manifest into (video_id, frame_paths)."""
     if os.path.isfile(input_path):
@@ -258,21 +268,14 @@ def collect_videos(input_path: str):
             videos.append((vid, paths))
         return videos
     if os.path.isdir(input_path):
-        direct = list_frame_files(input_path)
-        if direct:
-            return [(os.path.basename(os.path.normpath(input_path)), direct)]
-        nested = os.path.join(input_path, "frames")
-        if os.path.isdir(nested) and list_frame_files(nested):
-            return [(os.path.basename(os.path.normpath(input_path)), list_frame_files(nested))]
+        frames = _frame_files(input_path)
+        if frames:
+            return [(os.path.basename(os.path.normpath(input_path)), frames)]
         videos = []
         for name in sorted(os.listdir(input_path)):
             sub = os.path.join(input_path, name)
-            if os.path.isdir(sub):
-                frames = list_frame_files(sub)
-                if not frames and os.path.isdir(os.path.join(sub, "frames")):
-                    frames = list_frame_files(os.path.join(sub, "frames"))
-                if frames:
-                    videos.append((name, frames))
+            if os.path.isdir(sub) and (frames := _frame_files(sub)):
+                videos.append((name, frames))
         return videos
     raise ValueError(f"input path does not exist: {input_path}")
 
@@ -736,7 +739,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, DecodeError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:  # DecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -297,12 +297,18 @@ def test_total_loss_composes_both_oracles():
 
 
 def test_total_loss_validates_modes():
+    # the loss and its gradient check the same settings, whatever lam is
     item = hand_item()
     theta, ref = const_model(1, 0.0), const_model(1, 0.5)
-    with pytest.raises(ValueError):
-        total_loss(item, theta, ref, penalty_branch="loser")
-    with pytest.raises(ValueError):
-        total_loss(item, theta, ref, clean_mode="bad")
+    for objective in (total_loss, total_loss_gradient):
+        with pytest.raises(ValueError, match="penalty_branch"):
+            objective(item, theta, ref, penalty_branch="loser")
+        with pytest.raises(ValueError, match="clean_mode"):
+            objective(item, theta, ref, clean_mode="bad")
+        with pytest.raises(ValueError, match="clean_mode"):
+            objective(item, theta, ref, lam=0.0, clean_mode="bad")
+        with pytest.raises(ValueError, match="lam"):
+            objective(item, theta, ref, lam=-1.0)
 
 
 # ------------------------------------------------------------------ gradients
@@ -374,6 +380,26 @@ def test_toy_train_deterministic():
     m2, t2 = toy_train(items, ref, steps=20, learning_rate=1e-3)
     assert t1 == t2
     assert np.array_equal(m1.parameters, m2.parameters)
+
+
+@pytest.mark.parametrize("penalty_branch", ["winner", "both"])
+@pytest.mark.parametrize("clean_mode", ["self_consistent", "reverse_time"])
+def test_toy_train_descends_the_public_objective(penalty_branch, clean_mode):
+    items = synthetic_preference_items(3, 5, 3, seed=6)
+    ref = LinearVelocityModel.zeros(3)
+    settings = dict(beta=1.0, lam=0.01, penalty_branch=penalty_branch, clean_mode=clean_mode)
+    lr, steps = 1e-2, 7
+    model, trace = toy_train(items, ref, steps, lr, **settings)
+
+    loss = 0.0
+    grad = np.zeros(model.n_parameters)
+    for item in items:  # the trainer's summation order
+        loss += total_loss(item, model, ref, **settings)
+        grad += total_loss_gradient(item, model, ref, **settings)
+    assert trace[-1] == loss / len(items)
+
+    stepped, _ = toy_train(items, ref, steps + 1, lr, **settings)
+    assert np.array_equal(model.parameters - lr * (grad / len(items)), stepped.parameters)
 
 
 def test_toy_train_divergence_raises():

@@ -162,6 +162,8 @@ _BAD_CONFIGS = {
     "config_with_empty_gaps": {"gaps": []},
     "config_with_small_max_dim": {"max_dim": 8},
     "config_with_unknown_key": {"bogus": 1},
+    "config_with_nan_lam": {"lam": float("nan")},  # json.dumps writes NaN
+    "config_with_infinite_inlier_threshold": {"inlier_threshold": float("inf")},
 }
 
 
@@ -324,6 +326,8 @@ def _malformed_run(case, ws, tmp):
     ("config_with_empty_gaps", "gaps must be non-empty"),
     ("config_with_small_max_dim", "max_dim must be None or >= 16"),
     ("config_with_unknown_key", "unknown config keys: ['bogus']"),
+    ("config_with_nan_lam", "config key 'lam' must be finite, got nan"),
+    ("config_with_infinite_inlier_threshold", "config key 'inlier_threshold' must be finite, got inf"),
     ("manifest_videos_not_a_list", "'videos'"),
     ("manifest_frames_not_a_list", "'frames'"),
     ("groups_not_a_list", "'groups'"),
@@ -366,6 +370,18 @@ def test_invalid_feature_settings_are_fatal(workspace, tmp_path, capsys, flags):
     assert code == EXIT_FATAL
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("dpo-demo", "--beta"), ("score", "--contrast-threshold")])
+def test_non_finite_flag_is_fatal(workspace, pairs_file, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    argv = {"dpo-demo": ["dpo-demo", "--pairs", str(pairs_file), "--out", str(out)],
+            "score": ["score", str(workspace / "manifest.json"), "--output", str(out)]}[command]
+    assert main(argv + [flag, "nan"]) == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"config key {flag[2:].replace('-', '_')!r} must be finite" in err
+    assert not out.exists()
 
 
 def test_bad_flag_beside_a_valid_config_file_names_no_file(workspace, tmp_path, capsys):
@@ -798,6 +814,16 @@ def test_dpo_demo_from_latents(tmp_path):
     assert code == EXIT_OK
     params = json.loads((out / "final_params.json").read_text())
     assert params["dims"] == 3
+
+
+def test_dpo_demo_training_overflow_is_fatal(pairs_file, tmp_path, capsys):
+    out = tmp_path / "demo"
+    code = main(["dpo-demo", "--pairs", str(pairs_file), "--out", str(out), "--lr", "1e150"])
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "e_theta_w" in err
+    assert not (out / "final_params.json").exists()
 
 
 def test_dpo_demo_empty_pairs_is_fatal(tmp_path, capsys):

@@ -18,18 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CLEAN_MODES = ("self_consistent", "reverse_time")
-PENALTY_BRANCHES = ("winner", "both")
+from .records import (  # noqa: F401  re-exported: the objective's defaults live in records
+    CLEAN_MODES,
+    DEFAULT_BETA,
+    DEFAULT_CLEAN_MODE,
+    DEFAULT_CLIP_DIMS,
+    DEFAULT_CLIP_FRAMES,
+    DEFAULT_LAMBDA,
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_PENALTY_BRANCH,
+    DEFAULT_STEPS,
+    PENALTY_BRANCHES,
+)
 
-DEFAULT_BETA = 1.0
-DEFAULT_LAMBDA = 0.001
-DEFAULT_CLEAN_MODE = "self_consistent"
-DEFAULT_PENALTY_BRANCH = "winner"
-DEFAULT_STEPS = 200
-DEFAULT_LEARNING_RATE = 1e-3
-# frames and dims of a synthesized toy clip
-DEFAULT_CLIP_FRAMES = 6
-DEFAULT_CLIP_DIMS = 4
 DIVERGENCE_LIMIT = 1e6
 
 

@@ -15,6 +15,13 @@ no configuration; its output carries the config hash of its scores file.
 `score` scores its videos in worker processes, one per video up to the CPUs
 the process may run on; its outputs do not depend on the number of workers.
 
+Start-up loads no NumPy.  The parser's defaults come from ``records``, and
+`rank`, `pairs`, `--help`, `--version` and usage errors need nothing else
+but ``dataset``.  `synth`, `score`, `dpo-demo` and `ssim` import the numeric
+modules when they run.  Before that first import, main sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where the user
+has not set them, so that `score`'s workers do not each start a BLAS pool.
+
 Malformed input files end in a fatal error that names the file and the
 offending key.  Exit codes: 0 success, 1 fatal error, 2 partial success (some
 videos flagged or groups skipped), 64 usage error.
@@ -30,63 +37,65 @@ import os
 import sys
 import threading
 from dataclasses import asdict, dataclass, field, fields
+from importlib import import_module
 from itertools import repeat
 
 from . import __version__
-from .alignment import (
+from .dataset import GenerationGroup, GroupSkipped, build_pairs, rank_group
+from .records import (
+    AGGREGATIONS,
     CLEAN_MODES,
     DEFAULT_BETA,
     DEFAULT_CLEAN_MODE,
     DEFAULT_CLIP_DIMS,
     DEFAULT_CLIP_FRAMES,
+    DEFAULT_DOT_SIGMA,
+    DEFAULT_EPSILON,
     DEFAULT_LAMBDA,
     DEFAULT_LEARNING_RATE,
+    DEFAULT_MAX_PAIRS_PER_GROUP,
     DEFAULT_PENALTY_BRANCH,
     DEFAULT_STEPS,
-    PENALTY_BRANCHES,
-    DpoBatchItem,
-    LinearVelocityModel,
-    synthetic_preference_items,
-    toy_train,
-)
-from .dataset import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_PAIRS_PER_GROUP,
     DEFAULT_TAU,
-    GenerationGroup,
-    GroupSkipped,
-    build_pairs,
-    rank_group,
-)
-from .features import FeatureParams
-from .image import ssim
-from .io import (
+    PENALTY_BRANCHES,
+    TRAJECTORY_KINDS,
+    FeatureParams,
+    ScoringParams,
+    TrajectorySpec,
     canonical_json,
-    list_frame_files,
-    load_frame,
-    load_frames,
     read_jsonl,
     video_score_from_record,
     video_score_to_record,
     write_jsonl,
-    write_pgm,
-)
-from .scoring import AGGREGATIONS, ScoringParams, score_video
-from .synth import (
-    DEFAULT_DOT_SIGMA,
-    TRAJECTORY_KINDS,
-    TrajectorySpec,
-    camera_trajectory,
-    dynamic_motion,
-    generate_scene,
-    project_scene,
-    render_video,
 )
 
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 EXIT_USAGE = 64
+
+# the variables that size a BLAS library's thread pool
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Library functions the computing subcommands call, and the modules they come
+# from.  Each is imported on first access through this module (see
+# __getattr__) and called through that attribute, so a wrapper set on it sees
+# every call.
+_LAZY = {"score_video": "scoring", "toy_train": "alignment"}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _lib(name: str):
+    """This module's attribute ``name`` (one of _LAZY), imported on first use."""
+    return getattr(sys.modules[__name__], name)
 
 
 @dataclass(frozen=True)
@@ -238,12 +247,16 @@ def _require_number(entry, key: str, path: str) -> float:
 
 def _frame_files(directory: str) -> list:
     """The frame files of a directory, or else those of its frames/ child."""
+    from .io import list_frame_files
+
     nested = os.path.join(directory, "frames")
     return list_frame_files(directory) or (list_frame_files(nested) if os.path.isdir(nested) else [])
 
 
 def collect_videos(input_path: str):
     """Resolve a frame directory or manifest into (video_id, frame_paths)."""
+    from .io import list_frame_files
+
     if os.path.isfile(input_path):
         if not input_path.endswith(".json"):
             raise ValueError("input file must be a .json manifest")
@@ -356,6 +369,9 @@ def _finish(args, chash, *paths) -> int:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_synth(args) -> int:
+    from .io import write_pgm
+    from .synth import camera_trajectory, dynamic_motion, generate_scene, project_scene, render_video
+
     config = load_config(args.config, config_overrides(args))
     scene = generate_scene(args.points, extent=args.extent, seed=config.seed)
     spec = TrajectorySpec(
@@ -432,10 +448,12 @@ def cmd_synth(args) -> int:
 
 def _score_one(video, config: RunConfig, chash: str):
     """The VideoScore of one (video_id, frame_paths) entry; runs in a worker."""
+    from .io import load_frames
+
     vid, paths = video
     try:
-        return score_video(load_frames(paths), config.scoring, video_id=vid,
-                           seed=config.seed, config_hash=chash)
+        return _lib("score_video")(load_frames(paths), config.scoring, video_id=vid,
+                                   seed=config.seed, config_hash=chash)
     except ValueError as exc:
         raise ValueError(f"video {vid!r}: {exc}") from None
 
@@ -461,6 +479,7 @@ def cmd_score(args) -> int:
         print(f"error: no frames found under {args.input}", file=sys.stderr)
         return EXIT_FATAL
     chash = config.config_hash
+    _lib("score_video")  # imported before any worker forks, so each inherits it
     work = (videos, repeat(config), repeat(chash))
     workers = _score_workers(len(videos))
     if workers == 1:
@@ -528,6 +547,8 @@ def cmd_pairs(args) -> int:
 
 
 def _items_from_latents(path: str):
+    from .alignment import DpoBatchItem
+
     manifest = _read_json_object(path, "latent manifest")
     items = []
     entries = _require_type(_require(manifest, "items", path), list, "items", path)
@@ -543,6 +564,8 @@ def _items_from_latents(path: str):
 
 def _items_from_pairs(path: str, frames: int, dims: int, seed: int):
     """Synthesize latent clips whose corruption scales with each score gap."""
+    from .alignment import synthetic_preference_items
+
     _, records = read_jsonl(path)
     items = []
     for k, rec in enumerate(records):
@@ -556,6 +579,8 @@ def _items_from_pairs(path: str, frames: int, dims: int, seed: int):
 
 
 def cmd_dpo_demo(args) -> int:
+    from .alignment import LinearVelocityModel
+
     config = load_config(args.config, config_overrides(args))
     if args.latents:
         items = _items_from_latents(args.latents)
@@ -566,7 +591,7 @@ def cmd_dpo_demo(args) -> int:
         return EXIT_FATAL
     dims = items[0].x0_w.shape[1]
     ref = LinearVelocityModel.zeros(dims)
-    model, trace = toy_train(
+    model, trace = _lib("toy_train")(
         items,
         ref,
         steps=args.steps,
@@ -605,6 +630,9 @@ def cmd_ssim(args) -> int:
     if args.check and not args.output:
         print("error: ssim --check needs --output: there is no file to re-read", file=sys.stderr)
         return EXIT_USAGE
+    from .image import ssim
+    from .io import load_frame
+
     config = load_config(args.config, config_overrides(args))
     chash = config.config_hash
     record = _header(
@@ -621,6 +649,17 @@ def cmd_ssim(args) -> int:
 
 
 # -------------------------------------------------------------------- parsing
+
+def _finite_float(text: str) -> float:
+    """An argparse type: a finite float, so nan or inf is a usage error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems with exit code 64."""
@@ -670,18 +709,18 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=TRAJECTORY_KINDS, default=_SPEC.kind, help="camera trajectory (default: %(default)s)")
     p.add_argument("--frames", type=int, default=_SPEC.n_frames, help="frame count (default: %(default)s)")
     p.add_argument("--points", type=int, default=150, help="scene points (default: %(default)s)")
-    p.add_argument("--extent", type=float, default=2.5, help="scene half-extent (default: %(default)s)")
+    p.add_argument("--extent", type=_finite_float, default=2.5, help="scene half-extent (default: %(default)s)")
     p.add_argument("--width", type=int, default=_SPEC.width, help="image width (default: %(default)s)")
     p.add_argument("--height", type=int, default=_SPEC.height, help="image height (default: %(default)s)")
-    p.add_argument("--focal", type=float, default=_SPEC.focal, help="focal length in px (default: %(default)s)")
-    p.add_argument("--radius", type=float, default=_SPEC.radius, help="trajectory radius (default: %(default)s)")
-    p.add_argument("--travel", type=float, default=_SPEC.travel, help="dolly travel fraction (default: %(default)s)")
-    p.add_argument("--jitter", type=float, default=_SPEC.jitter_sigma, help="pixel jitter sigma (default: %(default)s)")
-    p.add_argument("--outliers", type=float, default=_SPEC.outlier_fraction, help="outlier fraction per pair (default: %(default)s)")
-    p.add_argument("--dynamic", type=float, default=_SPEC.dynamic_fraction, help="moving-point fraction (default: %(default)s)")
-    p.add_argument("--dynamic-speed", dest="dynamic_speed", type=float, default=_SPEC.dynamic_speed, help="world units per frame for moving points (default: %(default)s)")
-    p.add_argument("--dot-sigma", dest="dot_sigma", type=float, default=DEFAULT_DOT_SIGMA, help="rendered dot size in px (default: %(default)s)")
-    p.add_argument("--texture", type=float, default=0.02, help="background texture amplitude (default: %(default)s)")
+    p.add_argument("--focal", type=_finite_float, default=_SPEC.focal, help="focal length in px (default: %(default)s)")
+    p.add_argument("--radius", type=_finite_float, default=_SPEC.radius, help="trajectory radius (default: %(default)s)")
+    p.add_argument("--travel", type=_finite_float, default=_SPEC.travel, help="dolly travel fraction (default: %(default)s)")
+    p.add_argument("--jitter", type=_finite_float, default=_SPEC.jitter_sigma, help="pixel jitter sigma (default: %(default)s)")
+    p.add_argument("--outliers", type=_finite_float, default=_SPEC.outlier_fraction, help="outlier fraction per pair (default: %(default)s)")
+    p.add_argument("--dynamic", type=_finite_float, default=_SPEC.dynamic_fraction, help="moving-point fraction (default: %(default)s)")
+    p.add_argument("--dynamic-speed", dest="dynamic_speed", type=_finite_float, default=_SPEC.dynamic_speed, help="world units per frame for moving points (default: %(default)s)")
+    p.add_argument("--dot-sigma", dest="dot_sigma", type=_finite_float, default=DEFAULT_DOT_SIGMA, help="rendered dot size in px (default: %(default)s)")
+    p.add_argument("--texture", type=_finite_float, default=0.02, help="background texture amplitude (default: %(default)s)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("score", help="score videos for 3D consistency")
@@ -716,7 +755,7 @@ def build_parser() -> _Parser:
     src.add_argument("--latents", help="explicit latent manifest JSON")
     p.add_argument("--out", required=True, help="output directory (loss_trace.csv, final_params.json)")
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="gradient steps (default: %(default)s)")
-    p.add_argument("--lr", type=float, default=DEFAULT_LEARNING_RATE, help="learning rate (default: %(default)s)")
+    p.add_argument("--lr", type=_finite_float, default=DEFAULT_LEARNING_RATE, help="learning rate (default: %(default)s)")
     p.add_argument("--frames", type=int, default=DEFAULT_CLIP_FRAMES, help="synthesized clip frames (default: %(default)s)")
     p.add_argument("--dims", type=int, default=DEFAULT_CLIP_DIMS, help="synthesized clip dims (default: %(default)s)")
     _config_flag(p, "--beta", "preference strength", type=float)
@@ -737,6 +776,9 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "numpy" not in sys.modules:  # BLAS reads these once, as NumPy loads
+        for var in BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:  # DecodeError is a ValueError

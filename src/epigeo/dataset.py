@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scoring import VideoScore
+from .records import DEFAULT_EPSILON, DEFAULT_MAX_PAIRS_PER_GROUP, DEFAULT_TAU, VideoScore
 
 SKIP_TOO_FEW_UNFLAGGED = "too_few_unflagged"
-
-DEFAULT_TAU = 0.05
-DEFAULT_EPSILON = 0.5
-DEFAULT_MAX_PAIRS_PER_GROUP = 1
 
 
 class GroupSkipped(Exception):

@@ -450,10 +450,13 @@ def _ransac_best(a, b, iterations, inlier_threshold, seed):
         top = int(counts.max())
         if top == 0 or (best is not None and top < best[0]):
             continue
-        for k in np.flatnonzero(counts == top):
-            mean_err = float(errors[k][masks[k]].mean())
-            if best is None or top > best[0] or mean_err < best[1]:
-                best = (top, mean_err, masks[k], models[k])
+        # every tied row holds exactly `top` inliers, so their errors reshape
+        # to (tied, top); each row's mean is the bits of that row's .mean()
+        tied = np.flatnonzero(counts == top)
+        means = errors[tied][masks[tied]].reshape(len(tied), top).mean(axis=1)
+        k = int(np.argmin(means))  # the earliest of the lowest
+        if best is None or top > best[0] or means[k] < best[1]:
+            best = (top, float(means[k]), masks[tied[k]], models[tied[k]])
     return best
 
 

@@ -10,8 +10,9 @@ mutual-consistency filter.
 The stages are build_scale_space(frame, params), detect_keypoints(pyramid,
 params), compute_descriptors(pyramid, keypoints) and match_descriptors(desc_a,
 desc_b, params); extract_features and match_frames chain them. Settings come
-only from the FeatureParams record, which alone declares their defaults and
-checks their ranges; the stages do not check them again.
+only from the FeatureParams record (defined in ``records``), which alone
+declares their defaults and checks their ranges; the stages do not check
+them again.
 
 Every stage runs as array passes, not per keypoint, and gives the same bits
 as a per-keypoint loop would. The extrema search compacts flat candidate
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .image import Frame, gaussian_blur_array
+from .records import FeatureParams
 
 # descriptor layout: 4x4 spatial cells x 8 orientation bins
 DESC_GRID = 4
@@ -51,39 +53,6 @@ ORI_BINS = 36
 # bounds the (K, window) temporaries however many keypoints share a level
 ORI_BLOCK_KEYPOINTS = 512
 MIN_OCTAVE_DIM = 16
-
-
-@dataclass(frozen=True)
-class FeatureParams:
-    """Detector, descriptor, and matcher settings (canonical defaults)."""
-
-    octaves: int = 4
-    scales_per_octave: int = 3
-    base_sigma: float = 1.6
-    contrast_threshold: float = 0.03
-    edge_ratio_threshold: float = 10.0
-    ratio_threshold: float = 0.8
-    mutual: bool = True
-    max_keypoints: int = 2000
-    max_dim: int | None = None
-
-    def __post_init__(self):
-        if self.octaves < 1:
-            raise ValueError("octaves must be >= 1")
-        if self.scales_per_octave < 3:
-            raise ValueError("scales_per_octave must be >= 3")
-        if self.base_sigma <= 0:
-            raise ValueError("base_sigma must be positive")
-        if self.contrast_threshold < 0:
-            raise ValueError("contrast_threshold must be >= 0")
-        if self.edge_ratio_threshold <= 0:
-            raise ValueError("edge_ratio_threshold must be positive")
-        if not 0.0 < self.ratio_threshold <= 1.0:
-            raise ValueError("ratio_threshold must be in (0, 1]")
-        if self.max_keypoints < 1:
-            raise ValueError("max_keypoints must be >= 1")
-        if self.max_dim is not None and self.max_dim < 16:
-            raise ValueError("max_dim must be None or >= 16")
 
 
 # one detected scale-space extremum; x, y and scale in original-image pixels

@@ -16,8 +16,6 @@ the same on either path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .epipolar import (
@@ -26,15 +24,18 @@ from .epipolar import (
     ransac_fundamental,
     sampson_errors,
 )
-from .features import FeatureParams, extract_features, match_frames
+from .features import extract_features, match_frames
 from .image import Frame, motion_level
-
-STATUS_OK = "ok"
-STATUS_TOO_FEW_MATCHES = "too_few_matches"
-STATUS_ESTIMATION_FAILED = "estimation_failed"
-STATUS_DEGENERATE = "degenerate"
-
-AGGREGATIONS = ("mean", "median", "trimmed_mean")
+from .records import (  # noqa: F401  re-exported: the settings and result records
+    AGGREGATIONS,
+    STATUS_DEGENERATE,
+    STATUS_ESTIMATION_FAILED,
+    STATUS_OK,
+    STATUS_TOO_FEW_MATCHES,
+    PairScore,
+    ScoringParams,
+    VideoScore,
+)
 
 # Zero-baseline detection: a pair is degenerate when nearly every match is an
 # inlier, the fit is numerically perfect, and the matched points barely moved.
@@ -43,98 +44,6 @@ DEGENERATE_MEDIAN_ERROR = 1e-6
 DEGENERATE_CENTROID_SHIFT = 0.5  # px
 
 TRIM_FRACTION = 0.10
-
-
-@dataclass(frozen=True)
-class ScoringParams:
-    """Knobs for pair selection, estimation, and aggregation."""
-
-    gaps: tuple = (4, 8)
-    stride: int = 4
-    min_matches: int = 30
-    ransac_iterations: int = 2000
-    inlier_threshold: float = 1.0  # px^2, converted if coordinates are rescaled
-    aggregation: str = "mean"
-    static_threshold: float = 0.90
-    normalize_by_diagonal: bool = True
-    feature_params: FeatureParams = field(default_factory=FeatureParams)
-
-    def __post_init__(self):
-        gaps = tuple(int(g) for g in self.gaps)
-        object.__setattr__(self, "gaps", gaps)
-        if not gaps:
-            raise ValueError("gaps must be non-empty")
-        if any(g < 1 for g in gaps):
-            raise ValueError("gaps must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.min_matches < 8:
-            raise ValueError("min_matches must be >= 8")
-        if self.ransac_iterations < 1:
-            raise ValueError("ransac_iterations must be >= 1")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-        if not 0.0 < self.static_threshold <= 1.0:
-            raise ValueError("static_threshold must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class PairScore:
-    """Epipolar consistency of one frame pair.
-
-    ``mean_inlier_sampson`` and ``median_inlier_sampson`` are populated only
-    when ``status`` is ``ok``; for every other status they are None.
-    """
-
-    frame_i: int
-    frame_j: int
-    n_matches: int
-    n_inliers: int
-    mean_inlier_sampson: float | None
-    median_inlier_sampson: float | None
-    status: str
-
-    def __post_init__(self):
-        if self.n_inliers > self.n_matches:
-            raise ValueError("n_inliers cannot exceed n_matches")
-        has_stats = self.mean_inlier_sampson is not None and self.median_inlier_sampson is not None
-        if (self.status == STATUS_OK) != has_stats:
-            raise ValueError("statistics must be present exactly when status is ok")
-
-
-@dataclass(frozen=True)
-class VideoScore:
-    """Aggregate consistency of one video.
-
-    ``consistency_error`` is None when no frame pair could be scored; in that
-    case ``consistency_score`` is None too and ``insufficient_texture`` is
-    set.  Otherwise ``consistency_score == 1 / (1 + consistency_error)``.
-    """
-
-    video_id: str
-    consistency_error: float | None
-    consistency_score: float | None
-    motion_level: float | None
-    n_valid_pairs: int
-    near_static: bool
-    insufficient_texture: bool
-    config_hash: str | None = None
-    pair_scores: tuple = ()
-
-    def __post_init__(self):
-        if self.consistency_error is None:
-            if self.consistency_score is not None:
-                raise ValueError("consistency_score must be None when error is undefined")
-        else:
-            if self.consistency_error < 0:
-                raise ValueError("consistency_error must be >= 0")
-            expected = 1.0 / (1.0 + self.consistency_error)
-            if self.consistency_score != expected:
-                raise ValueError("consistency_score must equal 1/(1+consistency_error)")
-        if self.motion_level is None and self.near_static:
-            raise ValueError("near_static requires a motion level")
 
 
 def frame_pairs(n_frames, gaps, stride=1):

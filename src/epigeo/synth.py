@@ -14,15 +14,13 @@ bitwise identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .epipolar import CameraMatrix
 from .image import Frame, gaussian_blur_array
-
-TRAJECTORY_KINDS = ("orbit", "dolly", "arc")
-DEFAULT_DOT_SIGMA = 3.0  # rendered dot size, px
+from .records import DEFAULT_DOT_SIGMA, TRAJECTORY_KINDS, TrajectorySpec  # noqa: F401  re-exported
 
 # sub-stream keys so each degradation has an independent, stable RNG
 _JITTER_KEY = 101
@@ -56,59 +54,6 @@ class Scene:
     @property
     def n_points(self):
         return len(self.points3d)
-
-
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Camera path plus projection-time corruption settings.
-
-    kind:
-      orbit - full circle of radius `radius` around the scene, looking in
-      dolly - straight approach along the view axis (fixed orientation)
-      arc   - partial orbit (arc_span radians) with a vertical rise
-    jitter_sigma and the fractions control the corruption applied by
-    project_scene; fractions must sum below 1.
-    """
-
-    kind: str = "orbit"
-    n_frames: int = 8
-    focal: float = 500.0
-    width: int = 640
-    height: int = 480
-    principal_point: tuple | None = None
-    radius: float = 8.0
-    travel: float = 0.4
-    arc_span: float = np.pi / 2
-    arc_rise: float = 1.0
-    jitter_sigma: float = 0.0
-    outlier_fraction: float = 0.0
-    dynamic_fraction: float = 0.0
-    dynamic_speed: float = 0.05
-
-    def __post_init__(self):
-        if self.kind not in TRAJECTORY_KINDS:
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.n_frames < 2:
-            raise ValueError("n_frames must be >= 2")
-        if self.focal <= 0 or self.radius <= 0:
-            raise ValueError("focal and radius must be positive")
-        if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValueError("outlier_fraction must be in [0, 1)")
-        if not 0.0 <= self.dynamic_fraction < 1.0:
-            raise ValueError("dynamic_fraction must be in [0, 1)")
-        if self.outlier_fraction + self.dynamic_fraction >= 1.0:
-            raise ValueError("outlier and dynamic fractions must sum below 1")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
-        if not 0.0 < self.travel < 1.0:
-            raise ValueError("travel must be in (0, 1)")
-
-    @property
-    def intrinsics(self) -> np.ndarray:
-        px, py = self.principal_point or (self.width / 2.0, self.height / 2.0)
-        return np.array(
-            [[self.focal, 0.0, px], [0.0, self.focal, py], [0.0, 0.0, 1.0]]
-        )
 
 
 @dataclass

@@ -384,6 +384,25 @@ def test_non_finite_flag_is_fatal(workspace, pairs_file, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--jitter", "nan"], "--jitter"),
+    (["synth", "--focal", "inf"], "--focal"),
+    (["dpo-demo", "--lr", "nan"], "--lr"),
+    (["dpo-demo", "--lr", "inf"], "--lr"),
+])
+def test_non_finite_float_flag_is_usage_error(pairs_file, tmp_path, capsys, argv, flag):
+    # flags that are no config keys: argparse rejects the value before any
+    # file is written or any step is trained
+    out = tmp_path / "out"
+    if argv[0] == "dpo-demo":
+        argv = argv + ["--pairs", str(pairs_file)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}: must be finite, got '{argv[2]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_flag_beside_a_valid_config_file_names_no_file(workspace, tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"stride": 1})
     code = main(["score", str(workspace / "manifest.json"), "--config", str(cfg),
@@ -673,13 +692,55 @@ def test_scoring_stays_in_process_without_fork_or_beside_a_thread(monkeypatch):
     assert cli._score_workers(4) == 1
 
 
+def _fresh_python(code, *args, **env):
+    """A new interpreter running ``code`` on the source tree; its completed process.
+
+    OPENBLAS_NUM_THREADS is unset unless ``env`` gives it.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**inherited, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True, check=True, timeout=120)
+
+
 def test_cli_start_up_loads_no_pool_module():
     code = ("import sys, epigeo.cli; epigeo.cli.build_parser(); "
-            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'numpy') if m in sys.modules])")
+    assert _fresh_python(code).stdout.strip() == "[]"
+
+
+# main(argv) in a new interpreter; the last stderr line is
+# "<numpy loaded> <exit code> <OPENBLAS_NUM_THREADS>"
+MAIN_PROBE = """
+import os, sys
+from epigeo.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print("numpy" in sys.modules, code, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("rank", EXIT_PARTIAL), ("pairs", EXIT_OK), ("--help", 0), ("usage", EXIT_USAGE),
+])
+def test_bookkeeping_commands_load_no_numpy(workspace, tmp_path, command, expected):
+    inputs = ["--scores", str(workspace / "scores.jsonl"), "--groups", str(workspace / "groups.json"),
+              "--output", str(tmp_path / "out.jsonl")]
+    argv = {"rank": ["rank", *inputs], "pairs": ["pairs", *inputs, "--tau", "0"],
+            "--help": ["--help"], "usage": ["pairs", "--tau", "x"]}[command]
+    proc = _fresh_python(MAIN_PROBE, *argv)
+    assert proc.stderr.splitlines()[-1].split()[:2] == ["False", str(expected)]
+
+
+def test_blas_defaults_to_one_thread_unless_set(tmp_path):
+    # main sets the default before NumPy loads; a value already set wins
+    argv = ["dpo-demo", "--latents", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]
+    for env, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")):
+        proc = _fresh_python(MAIN_PROBE, *argv, **env)
+        assert proc.stderr.splitlines()[-1].split() == ["True", str(EXIT_FATAL), expected]
 
 
 # ----------------------------------------------------------------------- rank

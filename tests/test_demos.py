@@ -29,3 +29,18 @@ def test_every_exported_name_resolves():
     missing = [name for name in epigeo.__all__ if not hasattr(epigeo, name)]
     assert missing == []
     assert len(set(epigeo.__all__)) == len(epigeo.__all__)
+
+
+def test_star_import_binds_every_export_and_dir_lists_them():
+    # in a new interpreter, where no exported name has been resolved yet
+    code = ("import sys, epigeo\n"
+            "unlisted = sorted(set(epigeo.__all__) - set(dir(epigeo)))\n"
+            "numpy_on_import = 'numpy' in sys.modules\n"
+            "namespace = {}\n"
+            "exec('from epigeo import *', namespace)\n"
+            "unbound = [n for n in epigeo.__all__ if n not in namespace]\n"
+            "print(unlisted, numpy_on_import, unbound)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[] False []"

@@ -593,6 +593,22 @@ def _random_rig(rng):
 
 
 class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
+           n=st.integers(1, 400), share=st.floats(0.0, 1.0))
+    def test_tied_row_means_match_each_row_mean(self, seed, rows, n, share):
+        # _ransac_best averages the rows tied at the top inlier count in one
+        # reshape; every bit must equal the per-row mean it replaced
+        rng = np.random.default_rng(seed)
+        top = max(1, round(share * n))
+        errors = rng.random((rows, n)) * 10.0 ** rng.integers(-12, 3, (rows, 1))
+        masks = np.zeros((rows, n), dtype=bool)
+        for mask in masks:
+            mask[rng.choice(n, top, replace=False)] = True
+        means = errors[masks].reshape(rows, top).mean(axis=1)
+        for k in range(rows):
+            assert means[k].tobytes() == errors[k][masks[k]].mean().tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 3.0))
     def test_pair_swap_symmetry(self, seed, sigma):

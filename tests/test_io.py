@@ -1,5 +1,6 @@
 """Tests for the JSONL records of result dataclasses."""
 
+import pickle
 from dataclasses import asdict, replace
 
 import pytest
@@ -95,3 +96,8 @@ def test_record_lines_are_pinned(tmp_path):
     path = tmp_path / "scores.jsonl"
     write_jsonl(path, [video_score_to_record(SCORE, per_pair=True), video_score_to_record(SCORE)])
     assert path.read_bytes() == "".join(line + "\n" for line in PINNED).encode("utf-8")
+
+
+def test_video_score_survives_pickling():
+    # score's worker processes return their VideoScores pickled
+    assert pickle.loads(pickle.dumps(SCORE)) == SCORE

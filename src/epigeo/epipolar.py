@@ -16,10 +16,16 @@ pixel or (N, 3) homogeneous arrays, row k of points_a matched with row k of
 points_b. Each public entry point validates it once with
 correspondence_arrays; the stacked solvers behind them take the validated
 (N, 3) arrays as they are.
+
+RANSAC ranks its minimal samples with QR null vectors, falling back to the
+SVD for a sample whose R diagonal spans more than QR_TRUST (close to
+rank-deficient). Those models only rank: the winning sample is solved again
+with the SVD solver, so every returned F and mask comes from the SVD solver.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -33,6 +39,8 @@ DENOM_EPS = 1.0e-15
 
 RANK_TOL = 1e-8
 CONDITION_LIMIT = 1e12
+# largest ratio of |R_ii| for which a minimal sample's QR null vector is used
+QR_TRUST = 1e4
 
 
 class DegenerateConfigurationError(ValueError):
@@ -212,15 +220,15 @@ def _normalize_stack(pts: np.ndarray):
     return pts @ np.swapaxes(T, -1, -2), T, ok
 
 
-def _eight_point_stack(a: np.ndarray, b: np.ndarray):
-    """Normalized 8-point solve on (K, N, 3) stacks of z = 1 points.
+def _normalized_design(a: np.ndarray, b: np.ndarray):
+    """Bilinear constraint rows of Hartley-normalized (K, N, 3) stacks.
 
-    Returns (F per set, ok); ok is False where the set is degenerate
-    (coincident, coplanar or repeated points), and that F is meaningless.
+    Returns (design, Ta, Tb, ok): design is (K, N, 9), one row per
+    correspondence with the unknown F' raveled row-major; ok is False where
+    a set's points all coincide in either image.
     """
     na, Ta, ok_a = _normalize_stack(a)
     nb, Tb, ok_b = _normalize_stack(b)
-    # bilinear constraint rows: one per correspondence, unknown F' rav'd row-major
     design = np.empty(na.shape[:2] + (9,))
     design[..., 0] = nb[..., 0] * na[..., 0]
     design[..., 1] = nb[..., 0] * na[..., 1]
@@ -231,14 +239,58 @@ def _eight_point_stack(a: np.ndarray, b: np.ndarray):
     design[..., 6] = na[..., 0]
     design[..., 7] = na[..., 1]
     design[..., 8] = 1.0
-    _, s, vt = np.linalg.svd(design)
+    return design, Ta, Tb, ok_a & ok_b
+
+
+def _svd_null_vectors(design: np.ndarray):
+    """Last right singular vector of each (N, 9) design, and the degeneracy test."""
+    # U is never read; an 8-row design still needs the 9th row of Vt
+    _, s, vt = np.linalg.svd(design, full_matrices=design.shape[-2] < 9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok = ok_a & ok_b & (s[:, -2] > 0) & ~(s[:, 0] / s[:, -2] > CONDITION_LIMIT)
-    u, sv, vt2 = np.linalg.svd(vt[:, -1].reshape(-1, 3, 3))
+        ok = (s[:, -2] > 0) & ~(s[:, 0] / s[:, -2] > CONDITION_LIMIT)
+    return vt[:, -1], ok
+
+
+def _rank_two(v: np.ndarray, Ta: np.ndarray, Tb: np.ndarray, ok: np.ndarray):
+    """F per null vector of a (K, 9) stack: nearest rank 2, denormalized, and
+    canonicalized where ok; returns (F per set, ok)."""
+    u, sv, vt = np.linalg.svd(v.reshape(-1, 3, 3))
     sv[:, 2] = 0.0
-    m = np.swapaxes(Tb, -1, -2) @ ((u * sv[:, None, :]) @ vt2) @ Ta
+    m = np.swapaxes(Tb, -1, -2) @ ((u * sv[:, None, :]) @ vt) @ Ta
     m[ok] = _canonicalize(m[ok])
     return m, ok
+
+
+def _eight_point_stack(a: np.ndarray, b: np.ndarray):
+    """Normalized 8-point solve on (K, N, 3) stacks of z = 1 points.
+
+    Returns (F per set, ok); ok is False where the set is degenerate
+    (coincident, coplanar or repeated points), and that F is meaningless.
+    """
+    design, Ta, Tb, ok = _normalized_design(a, b)
+    v, ok_svd = _svd_null_vectors(design)
+    return _rank_two(v, Ta, Tb, ok & ok_svd)
+
+
+def _sample_stack(a: np.ndarray, b: np.ndarray):
+    """8-point models of (K, 8, 3) minimal samples, to rank RANSAC candidates.
+
+    The null vector of each 8-row design is the last column of the complete
+    QR of its transpose. A sample whose |R_ii| span more than QR_TRUST is
+    close to rank-deficient (a repeated correspondence, say); it takes
+    _eight_point_stack's SVD and degeneracy test instead. Returns
+    (F per sample, ok) like _eight_point_stack; the F agree with it to
+    rounding, not bit for bit.
+    """
+    design, Ta, Tb, ok = _normalized_design(a, b)
+    q, r = np.linalg.qr(np.swapaxes(design, -1, -2), mode="complete")
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    untrusted = ~(diag.max(axis=1) <= QR_TRUST * diag.min(axis=1))
+    v = q[:, :, -1]
+    if untrusted.any():
+        v[untrusted], ok_svd = _svd_null_vectors(design[untrusted])
+        ok[untrusted] &= ok_svd
+    return _rank_two(v, Ta, Tb, ok)
 
 
 def _eight_point_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -391,9 +443,14 @@ def _pcg_draws(entropy, count):
     return np.stack([out & _M32, out >> 32], axis=1).reshape(-1, len(entropy))[:count]
 
 
+# the videos of a group share every pair's (n, seed), so 16 entries keep a
+# group's draws while holding at most 16 x 512 KB
+@functools.lru_cache(maxsize=16)
 def _ransac_samples(n, seed, start, stop):
-    """The 8-point samples of RANSAC iterations start..stop-1 as a (K, 8) array:
-    row k equals np.random.default_rng(seed ^ (start + k)).choice(n, 8, replace=False).
+    """The 8-point samples of RANSAC iterations start..stop-1 as a read-only
+    (K, 8) array: row k equals
+    np.random.default_rng(seed ^ (start + k)).choice(n, 8, replace=False).
+    Memoized, since the draws depend on the arguments alone.
 
     NumPy draws that sample by Floyd's algorithm (Lemire bounded draws on
     [0, j] for j = n-8 .. n-1, a value already taken replaced by j), then
@@ -420,16 +477,17 @@ def _ransac_samples(n, seed, start, stop):
             picked[rows, i], picked[rows, swap] = picked[rows, swap], picked[rows, i]
     for k in np.flatnonzero(redo):
         picked[k] = np.random.default_rng(seed ^ (start + int(k))).choice(n, 8, replace=False)
+    picked.flags.writeable = False
     return picked
 
 
 def _ransac_best(a, b, iterations, inlier_threshold, seed):
-    """The best RANSAC candidate as (inlier count, mean inlier error, inlier
-    mask, F), or None if no iteration gives a model with inliers.
+    """The sample rows (8,) of the best RANSAC candidate, or None if no
+    iteration gives a model with inliers.
 
-    Iterations are solved and scored in blocks, one stacked call per step;
-    every iteration runs, there is no early stop. The best candidate has
-    the most inliers; among those, the lowest mean
+    Iterations are solved with _sample_stack and scored in blocks, one
+    stacked call per step; every iteration runs, there is no early stop.
+    The best candidate has the most inliers; among those, the lowest mean
     inlier Sampson error, and then the earliest iteration.
     """
     n = len(a)
@@ -443,7 +501,7 @@ def _ransac_best(a, b, iterations, inlier_threshold, seed):
         if start % chunk == 0:
             drawn = _ransac_samples(n, seed, start, min(start + chunk, iterations))
         idx = drawn[start % chunk : start % chunk + block]
-        models, ok = _eight_point_stack(a[idx], b[idx])
+        models, ok = _sample_stack(a[idx], b[idx])
         errors, flagged = _sampson_stack(models, a, b)
         masks = (errors < inlier_threshold) & ~flagged
         counts = np.where(ok, masks.sum(axis=1), 0)
@@ -456,8 +514,8 @@ def _ransac_best(a, b, iterations, inlier_threshold, seed):
         means = errors[tied][masks[tied]].reshape(len(tied), top).mean(axis=1)
         k = int(np.argmin(means))  # the earliest of the lowest
         if best is None or top > best[0] or means[k] < best[1]:
-            best = (top, float(means[k]), masks[tied[k]], models[tied[k]])
-    return best
+            best = (top, float(means[k]), idx[tied[k]])
+    return None if best is None else best[2]
 
 
 def ransac_fundamental(
@@ -474,6 +532,11 @@ def ransac_fundamental(
     stop. Consensus ties are broken by lower mean inlier Sampson error, then
     by the earlier iteration. The winning model is refit on its full
     consensus set.
+
+    Minimal samples are ranked with QR null vectors, and with the SVD where
+    R's diagonal spans more than QR_TRUST. The winning sample is then solved
+    again with the SVD solver, so the returned F and mask always come from
+    the SVD solver.
     """
     a, b = correspondence_arrays(correspondences)
     n = len(a)
@@ -482,10 +545,16 @@ def ransac_fundamental(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    best = _ransac_best(a, b, iterations, inlier_threshold, seed)
-    if best is None:
+    sample = _ransac_best(a, b, iterations, inlier_threshold, seed)
+    if sample is None:
         raise EstimationFailedError("no RANSAC iteration produced a valid model")
-    count, _, mask, model = best
+    # the sample-stage models only rank: solve the winner with the SVD solver,
+    # as a one-sample stack like the blocks the candidates were scored in
+    models, _ = _eight_point_stack(a[sample][None], b[sample][None])
+    errors, flagged = _sampson_stack(models, a, b)
+    mask = (errors[0] < inlier_threshold) & ~flagged[0]
+    model = models[0]
+    count = int(mask.sum())
     if count < 8:
         raise EstimationFailedError(
             f"best consensus has only {count} inliers (need at least 8)"

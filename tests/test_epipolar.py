@@ -140,6 +140,31 @@ class TestEightPoint:
         with pytest.raises(DegenerateConfigurationError):
             eight_point((xa, xb))
 
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="the degeneracy test reads s[:, -2], which is sigma_7 "
+                       "of an 8-row design, not its smallest singular value")
+    def test_repeated_correspondence_degenerate(self, rig):
+        # a minimal sample with one correspondence twice has rank 7: a
+        # two-dimensional null space, so F is not determined
+        cam_a, cam_b = rig
+        xa, xb, _ = project_box(cam_a, cam_b, 8, seed=28)
+        xa[7], xb[7] = xa[0], xb[0]
+        with pytest.raises(DegenerateConfigurationError):
+            eight_point((xa, xb))
+
+    @pytest.mark.parametrize("n", [9, 120, 2000])
+    def test_bytes_equal_full_matrices_svd(self, rig, n):
+        # the solver skips the N x N U; s and Vt must not move
+        cam_a, cam_b = rig
+        xa, xb, _ = project_box(cam_a, cam_b, n, seed=29)
+        xb = xb + np.random.default_rng(n).normal(0.0, 0.5, xb.shape)
+        a, b = correspondence_arrays((xa, xb))
+        design, Ta, Tb, ok = epipolar._normalized_design(a[None], b[None])
+        _, s, vt = np.linalg.svd(design, full_matrices=True)
+        assert s[0, 0] / s[0, -2] < epipolar.CONDITION_LIMIT
+        want, _ = epipolar._rank_two(vt[:, -1], Ta, Tb, ok)
+        assert eight_point((xa, xb)).m.tobytes() == want[0].tobytes()
+
 
 class TestSampsonError:
     def test_canonical_half(self):
@@ -298,13 +323,12 @@ class TestRansac:
                 errors[row, (i + np.arange(count)) % n] = error
             return errors, np.zeros(errors.shape, dtype=bool)
 
-        monkeypatch.setattr(epipolar, "_eight_point_stack", solve)
+        monkeypatch.setattr(epipolar, "_sample_stack", solve)
         monkeypatch.setattr(epipolar, "_sampson_stack", score)
         monkeypatch.setattr(epipolar, "RANSAC_BLOCK_POINTS", 4 * n)
         points = np.ones((n, 3))
-        count, _, mask, model = epipolar._ransac_best(points, points, iterations, 1.0, 0)
-        assert model[0, 0] == winner
-        assert count == special.get(winner, (3,))[0] == mask.sum()
+        sample = epipolar._ransac_best(points, points, iterations, 1.0, 0)
+        np.testing.assert_array_equal(sample, reference_samples(n, 0, winner, winner + 1)[0])
 
 def reference_samples(n, seed, start, stop):
     """Per-iteration NumPy draws: row k is the sample of iteration start + k."""
@@ -352,6 +376,12 @@ class TestRansacSamples:
         # the first Floyd draw is on [0, 2**31], whose Lemire rejection
         # threshold is 2**31 - 1: about half of these iterations redraw
         self.check(2**31 + 8, 77, 1000, 1200)
+
+    def test_memoized_draws_are_read_only(self):
+        drawn = epipolar._ransac_samples(120, 5, 0, 200)
+        assert epipolar._ransac_samples(120, 5, 0, 200) is drawn
+        with pytest.raises(ValueError):
+            drawn[0, 0] = 1
 
 
 def reference_ransac(correspondences, iterations, inlier_threshold, seed):
@@ -402,31 +432,59 @@ def reference_ransac(correspondences, iterations, inlier_threshold, seed):
 
 def random_ransac_case(rng, rig):
     """Matched points with noise, outliers and repeated rows, and a seed that
-    is sometimes wider than 32 bits."""
+    is sometimes wider than 32 bits.
+
+    One case in five is duplicate-heavy, as matches are when keypoints have
+    several orientation peaks: about half the rows repeat another row, and
+    up to 500 iterations run. Many of its minimal samples are rank-deficient.
+    """
     cam_a, cam_b = rig
     n = int(rng.choice([rng.integers(8, 16), rng.integers(16, 200), rng.integers(200, 1501)]))
     xa, xb, _ = project_box(cam_a, cam_b, n, seed=int(rng.integers(1 << 30)))
     xb = xb + rng.normal(0.0, rng.choice([0.0, 0.3, 2.0]), xb.shape)
     out = rng.random(n) < rng.choice([0.0, 0.2, 0.6])
     xb[out] = rng.uniform((0, 0), (640, 480), size=(int(out.sum()), 2))
-    if rng.random() < 0.3:  # repeated points
+    iterations = int(rng.integers(1, 120))
+    if rng.random() < 0.2:  # duplicate-heavy
+        order = rng.permutation(n)
+        dst, keep = order[: n // 2], order[n // 2 :]
+        src = rng.choice(keep, size=len(dst))
+        xa[dst], xb[dst] = xa[src], xb[src]
+        iterations = int(rng.integers(1, 501))
+    elif rng.random() < 0.3:  # repeated points
         src = rng.integers(0, n, size=n // 3)
         dst = rng.integers(0, n, size=n // 3)
         xa[dst], xb[dst] = xa[src], xb[src]
     seed = int(rng.integers(0, 2**32)) if rng.random() < 0.8 else int(rng.integers(1, 2**62))
     if rng.random() < 0.1:
         seed += 2**32
-    kwargs = dict(iterations=int(rng.integers(1, 120)),
+    kwargs = dict(iterations=iterations,
                   inlier_threshold=float(rng.choice([1e-6, 0.5, 1.0, 4.0])), seed=seed)
     return (xa, xb), kwargs
 
 
 class TestRansacAgainstReference:
-    def test_random_cases_byte_equal(self, rig):
+    def test_random_cases_byte_equal(self, rig, monkeypatch):
+        # count the minimal samples the sample stage sends to the SVD
+        svd_rows = []
+        svd_null_vectors, ransac_best = epipolar._svd_null_vectors, epipolar._ransac_best
+
+        def counted_svd(design):
+            svd_rows.append(len(design))
+            return svd_null_vectors(design)
+
+        def sample_stage(*args):
+            with monkeypatch.context() as m:
+                m.setattr(epipolar, "_svd_null_vectors", counted_svd)
+                return ransac_best(*args)
+
+        monkeypatch.setattr(epipolar, "_ransac_best", sample_stage)
         rng = np.random.default_rng(606)
         outcomes = set()
+        samples = 0
         for case in range(300):
             corr, kwargs = random_ransac_case(rng, rig)
+            samples += kwargs["iterations"]
             try:
                 want = reference_ransac(corr, **kwargs)
             except EstimationFailedError as exc:
@@ -440,6 +498,8 @@ class TestRansacAgainstReference:
             assert f.inlier_count == int(want[1].sum())
             outcomes.add("all" if mask.all() else "some")
         assert outcomes == {"failed", "all", "some"}
+        # both sides of QR_TRUST ran
+        assert 0 < sum(svd_rows) < samples
 
 
 class TestFundamentalFromCameras:

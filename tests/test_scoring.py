@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from epigeo import epipolar
 from epigeo.features import FeatureParams, extract_features, match_frames
 from epigeo.image import Frame
 from epigeo.scoring import (
@@ -230,6 +231,31 @@ def test_correspondence_scoring_deterministic():
     a = score_video_from_correspondences(proj.pairs, CORR_PARAMS, seed=4, diagonal=DIAG_DEFAULT)
     b = score_video_from_correspondences(proj.pairs, CORR_PARAMS, seed=4, diagonal=DIAG_DEFAULT)
     assert a == b
+
+
+def test_memoized_ransac_draws_do_not_change_scores():
+    # a criterion-5 ladder: five jitter levels of one scene share every
+    # pair's RANSAC stream, so 12 of the group's 15 draws come from the memo
+    scene = generate_scene(120, extent=2.5, seed=1003)
+    pairs = frame_pairs(8, CORR_PARAMS.gaps, CORR_PARAMS.stride)
+    videos = []
+    for sigma in (0.0, 0.5, 1.0, 2.0, 4.0):
+        spec = TrajectorySpec(kind="orbit", n_frames=8, jitter_sigma=sigma)
+        proj = project_scene(scene, camera_trajectory(spec), spec, pairs=pairs)
+        videos.append((f"sigma{sigma:g}", proj.pairs))
+
+    def score_reversed():
+        return [
+            score_video_from_correspondences(
+                corr, CORR_PARAMS, video_id=vid, seed=1003, diagonal=DIAG_DEFAULT)
+            for vid, corr in reversed(videos)
+        ]
+
+    epipolar._ransac_samples.cache_clear()
+    cold = score_reversed()
+    info = epipolar._ransac_samples.cache_info()
+    assert (info.hits, info.hits + info.misses) == (12, 15)
+    assert score_reversed() == cold
 
 
 def test_diagonal_normalization_rescales_errors():

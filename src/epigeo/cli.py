@@ -8,9 +8,11 @@ trainer, and `ssim` compares two frames.
 Every subcommand but `rank` is configured by a RunConfig: the defaults of the
 library's parameter records, overridden by an optional JSON config file,
 overridden by explicit flags.  The canonical serialization of the effective
-config is hashed and embedded in every output artifact, and all outputs are
-deterministic given flags plus seed (reruns are byte identical).  `rank` reads
-no configuration; its output carries the config hash of its scores file.
+RunConfig is hashed and embedded in every output artifact, and all outputs are
+deterministic given flags plus seed (reruns are byte identical).  `synth`'s
+scene flags are not config keys, so its hash does not cover them; scene.json
+records them, with the cameras.  `rank` reads no configuration; its output
+carries the config hash of its scores file.
 
 `score` scores its videos in worker processes, one per video up to the CPUs
 the process may run on; its outputs do not depend on the number of workers.
@@ -374,19 +376,8 @@ def cmd_synth(args) -> int:
 
     config = load_config(args.config, config_overrides(args))
     scene = generate_scene(args.points, extent=args.extent, seed=config.seed)
-    spec = TrajectorySpec(
-        kind=args.kind,
-        n_frames=args.frames,
-        focal=args.focal,
-        width=args.width,
-        height=args.height,
-        radius=args.radius,
-        travel=args.travel,
-        jitter_sigma=args.jitter,
-        outlier_fraction=args.outliers,
-        dynamic_fraction=args.dynamic,
-        dynamic_speed=args.dynamic_speed,
-    )
+    settings = {name: getattr(args, name) for _, name, _, _ in _SCENE_FLAGS}
+    spec = TrajectorySpec(**settings)
     cams = camera_trajectory(spec)
     projected = project_scene(scene, cams, spec)
     frames = render_video(
@@ -410,37 +401,19 @@ def cmd_synth(args) -> int:
         seed=config.seed,
         n_points=args.points,
         extent=args.extent,
-        kind=spec.kind,
-        n_frames=spec.n_frames,
-        width=spec.width,
-        height=spec.height,
-        focal=spec.focal,
-        jitter_sigma=spec.jitter_sigma,
-        outlier_fraction=spec.outlier_fraction,
-        dynamic_fraction=spec.dynamic_fraction,
-        dynamic_speed=spec.dynamic_speed,
+        **settings,
         dot_sigma=args.dot_sigma,
         texture_amplitude=args.texture,
         dynamic_point_ids=sorted(int(i) for i in dynamic_idx),
         cameras=[{"k": c.k.tolist(), "r": c.r.tolist(), "t": c.t.tolist()} for c in cams],
     ))
 
-    corr_records = []
-    for (i, j) in sorted(projected.pairs):
-        cs = projected.pairs[(i, j)]
-        for k in range(len(cs)):
-            corr_records.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "index": int(cs.indices[k]),
-                    "x": float(cs.a[k, 0]),
-                    "y": float(cs.a[k, 1]),
-                    "xp": float(cs.b[k, 0]),
-                    "yp": float(cs.b[k, 1]),
-                    "label": str(cs.labels[k]),
-                }
-            )
+    corr_records = [
+        {"i": i, "j": j, "index": n, "x": x, "y": y, "xp": xp, "yp": yp, "label": label}
+        for (i, j), cs in sorted(projected.pairs.items())
+        for n, x, y, xp, yp, label in zip(cs.indices.tolist(), *cs.a.T.tolist(), *cs.b.T.tolist(),
+                                          cs.labels.tolist())
+    ]
     corr_path = os.path.join(args.out, "correspondences.jsonl")
     write_jsonl(corr_path, corr_records, _header(chash, record="correspondence"))
     return _finish(args, chash, corr_path, scene_path)
@@ -591,16 +564,8 @@ def cmd_dpo_demo(args) -> int:
         return EXIT_FATAL
     dims = items[0].x0_w.shape[1]
     ref = LinearVelocityModel.zeros(dims)
-    model, trace = _lib("toy_train")(
-        items,
-        ref,
-        steps=args.steps,
-        learning_rate=args.lr,
-        beta=config.beta,
-        lam=config.lam,
-        penalty_branch=config.penalty_branch,
-        clean_mode=config.clean_mode,
-    )
+    objective = {key: getattr(config, key) for key in ("beta", "lam", "clean_mode", "penalty_branch")}
+    model, trace = _lib("toy_train")(items, ref, steps=args.steps, learning_rate=args.lr, **objective)
 
     os.makedirs(args.out, exist_ok=True)
     chash = config.config_hash
@@ -616,10 +581,7 @@ def cmd_dpo_demo(args) -> int:
         dims=dims,
         steps=args.steps,
         learning_rate=args.lr,
-        beta=config.beta,
-        lam=config.lam,
-        clean_mode=config.clean_mode,
-        penalty_branch=config.penalty_branch,
+        **objective,
         final_loss=trace[-1],
         parameters=model.parameters.tolist(),
     ))
@@ -659,6 +621,24 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+# The scene settings of `synth`: (flag, TrajectorySpec field, type, help).  The
+# parser adds one flag per row, defaulting to TrajectorySpec's value, and
+# cmd_synth builds its TrajectorySpec from them and records them in scene.json.
+_SCENE_FLAGS = (
+    ("--kind", "kind", str, "camera trajectory"),
+    ("--frames", "n_frames", int, "frame count"),
+    ("--width", "width", int, "image width"),
+    ("--height", "height", int, "image height"),
+    ("--focal", "focal", _finite_float, "focal length in px"),
+    ("--radius", "radius", _finite_float, "trajectory radius"),
+    ("--travel", "travel", _finite_float, "dolly travel fraction"),
+    ("--jitter", "jitter_sigma", _finite_float, "pixel jitter sigma"),
+    ("--outliers", "outlier_fraction", _finite_float, "outlier fraction per pair"),
+    ("--dynamic", "dynamic_fraction", _finite_float, "moving-point fraction"),
+    ("--dynamic-speed", "dynamic_speed", _finite_float, "world units per frame for moving points"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -706,19 +686,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic scene directory")
     _add_common(p)
     p.add_argument("--out", required=True, help="output scene directory")
-    p.add_argument("--kind", choices=TRAJECTORY_KINDS, default=_SPEC.kind, help="camera trajectory (default: %(default)s)")
-    p.add_argument("--frames", type=int, default=_SPEC.n_frames, help="frame count (default: %(default)s)")
+    for flag, name, convert, help in _SCENE_FLAGS:
+        choices = TRAJECTORY_KINDS if name == "kind" else None
+        p.add_argument(flag, dest=name, type=convert, choices=choices, default=getattr(_SPEC, name),
+                       metavar=None if choices else flag[2:].replace("-", "_").upper(),
+                       help=f"{help} (default: %(default)s)")
     p.add_argument("--points", type=int, default=150, help="scene points (default: %(default)s)")
     p.add_argument("--extent", type=_finite_float, default=2.5, help="scene half-extent (default: %(default)s)")
-    p.add_argument("--width", type=int, default=_SPEC.width, help="image width (default: %(default)s)")
-    p.add_argument("--height", type=int, default=_SPEC.height, help="image height (default: %(default)s)")
-    p.add_argument("--focal", type=_finite_float, default=_SPEC.focal, help="focal length in px (default: %(default)s)")
-    p.add_argument("--radius", type=_finite_float, default=_SPEC.radius, help="trajectory radius (default: %(default)s)")
-    p.add_argument("--travel", type=_finite_float, default=_SPEC.travel, help="dolly travel fraction (default: %(default)s)")
-    p.add_argument("--jitter", type=_finite_float, default=_SPEC.jitter_sigma, help="pixel jitter sigma (default: %(default)s)")
-    p.add_argument("--outliers", type=_finite_float, default=_SPEC.outlier_fraction, help="outlier fraction per pair (default: %(default)s)")
-    p.add_argument("--dynamic", type=_finite_float, default=_SPEC.dynamic_fraction, help="moving-point fraction (default: %(default)s)")
-    p.add_argument("--dynamic-speed", dest="dynamic_speed", type=_finite_float, default=_SPEC.dynamic_speed, help="world units per frame for moving points (default: %(default)s)")
     p.add_argument("--dot-sigma", dest="dot_sigma", type=_finite_float, default=DEFAULT_DOT_SIGMA, help="rendered dot size in px (default: %(default)s)")
     p.add_argument("--texture", type=_finite_float, default=0.02, help="background texture amplitude (default: %(default)s)")
     p.set_defaults(func=cmd_synth)

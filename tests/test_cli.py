@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from epigeo.cli import (
 )
 from epigeo.image import Frame
 from epigeo.io import read_jsonl, write_jsonl, write_pgm
+from epigeo.records import TrajectorySpec
+from epigeo.synth import camera_trajectory
 
 SCORE_FLAGS = [
     "--gaps", "1", "2", "--stride", "1", "--ransac-iterations", "300",
@@ -519,6 +522,20 @@ def test_synth_records_dynamic_points(tmp_path):
     _, records = read_jsonl(out / "correspondences.jsonl")
     labels = {rec["label"] for rec in records}
     assert "dynamic" in labels
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "dolly", "--radius", "6", "--travel", "0.3"],
+    ["--kind", "orbit", "--radius", "5.5", "--focal", "420", "--width", "320"],
+])
+def test_scene_json_alone_rebuilds_the_cameras(tmp_path, flags):
+    out = tmp_path / "scene"
+    assert main(["synth", "--out", str(out), "--frames", "4", "--points", "30", *flags]) == EXIT_OK
+    scene = json.loads((out / "scene.json").read_text())
+    spec = TrajectorySpec(**{f.name: scene[f.name] for f in fields(TrajectorySpec) if f.name in scene})
+    cameras = [{"k": c.k.tolist(), "r": c.r.tolist(), "t": c.t.tolist()}
+               for c in camera_trajectory(spec)]
+    assert cameras == scene["cameras"]
 
 
 # ---------------------------------------------------------------------- score

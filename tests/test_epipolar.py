@@ -501,6 +501,26 @@ class TestRansacAgainstReference:
         # both sides of QR_TRUST ran
         assert 0 < sum(svd_rows) < samples
 
+    def test_random_cases_independent_of_block_size(self, rig, monkeypatch):
+        # the block and draw sizes follow RANSAC_BLOCK_POINTS; F, the mask and
+        # a failure's message must not
+        rng = np.random.default_rng(707)
+        partial_blocks = 0
+        for case in range(32):
+            corr, kwargs = random_ransac_case(rng, rig)
+            outcomes = []
+            for block_points in (1 << 16, 4096, 257, 64, 8):
+                monkeypatch.setattr(epipolar, "RANSAC_BLOCK_POINTS", block_points)
+                epipolar._ransac_samples.cache_clear()
+                partial_blocks += kwargs["iterations"] % max(1, block_points // len(corr[0])) > 0
+                try:
+                    f, mask = ransac_fundamental(corr, **kwargs)
+                    outcomes.append((f.m.tobytes(), mask.tobytes(), f.inlier_count))
+                except EstimationFailedError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes == [outcomes[0]] * len(outcomes), (case, kwargs)
+        assert partial_blocks > 0
+
 
 class TestFundamentalFromCameras:
     def test_pure_translation_skew_form(self):

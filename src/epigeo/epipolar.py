@@ -21,11 +21,16 @@ RANSAC ranks its minimal samples with QR null vectors, falling back to the
 SVD for a sample whose R diagonal spans more than QR_TRUST (close to
 rank-deficient). Those models only rank: the winning sample is solved again
 with the SVD solver, so every returned F and mask comes from the SVD solver.
+RANSAC stops at the first sample that takes every correspondence as an
+inlier: every all-inlier winner ends in the same refit on all points, so
+the later iterations cannot change the result. Where that sample does not
+end in that refit, every iteration is ranked instead.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -369,6 +374,9 @@ def symmetric_epipolar_errors(f, points_a, points_b):
 # candidates x points evaluated at once by RANSAC; bounds its (K, N, 3)
 # temporaries to a few MB
 RANSAC_BLOCK_POINTS = 1 << 16
+# iterations ranked before the rest of the first block, so that a clean
+# correspondence set reaches its first all-inlier sample in one small call
+_FIRST_BLOCK = 16
 
 # NumPy's SeedSequence and PCG64 constants (numpy/random/bit_generator.pyx,
 # numpy/random/src/pcg64): the hash multipliers, the pool mixer, and the
@@ -481,14 +489,17 @@ def _ransac_samples(n, seed, start, stop):
     return picked
 
 
-def _ransac_best(a, b, iterations, inlier_threshold, seed):
-    """The sample rows (8,) of the best RANSAC candidate, or None if no
-    iteration gives a model with inliers.
+def _ransac_best(a, b, iterations, inlier_threshold, seed, stop_at_full):
+    """(sample rows (8,) of the best RANSAC candidate, stopped), or
+    (None, False) if no iteration gives a model with inliers.
 
     Iterations are solved with _sample_stack and scored in blocks, one
-    stacked call per step; every iteration runs, there is no early stop.
-    The best candidate has the most inliers; among those, the lowest mean
-    inlier Sampson error, and then the earliest iteration.
+    stacked call per step. The best candidate has the most inliers; among
+    those, the lowest mean inlier Sampson error, and then the earliest
+    iteration. With stop_at_full, the search stops at the first iteration
+    whose model is ok and takes all n points as inliers, and returns that
+    sample with stopped True: no later iteration has more inliers. The stop
+    is decided per iteration, so it does not depend on the block size.
     """
     n = len(a)
     block = max(1, RANSAC_BLOCK_POINTS // n)
@@ -496,16 +507,22 @@ def _ransac_best(a, b, iterations, inlier_threshold, seed):
     # blocks at once, up to RANSAC_BLOCK_POINTS // 8 iterations (one block
     # when a block is larger)
     chunk = block * max(1, RANSAC_BLOCK_POINTS // 8 // block)
+    # the first block is ranked in two parts, its first _FIRST_BLOCK
+    # iterations alone; the other blocks stay on the grid, each in one draw
+    grid = {0, min(_FIRST_BLOCK, block), *range(block, iterations, block)}
+    starts = sorted(s for s in grid if s < iterations)
     best = None
-    for start in range(0, iterations, block):
+    for start, stop in zip(starts, starts[1:] + [iterations]):
         if start % chunk == 0:
             drawn = _ransac_samples(n, seed, start, min(start + chunk, iterations))
-        idx = drawn[start % chunk : start % chunk + block]
+        idx = drawn[start % chunk : start % chunk + stop - start]
         models, ok = _sample_stack(a[idx], b[idx])
         errors, flagged = _sampson_stack(models, a, b)
         masks = (errors < inlier_threshold) & ~flagged
         counts = np.where(ok, masks.sum(axis=1), 0)
         top = int(counts.max())
+        if stop_at_full and top == n:
+            return idx[int(np.argmax(counts))], True  # the earliest
         if top == 0 or (best is not None and top < best[0]):
             continue
         # every tied row holds exactly `top` inliers, so their errors reshape
@@ -515,7 +532,37 @@ def _ransac_best(a, b, iterations, inlier_threshold, seed):
         k = int(np.argmin(means))  # the earliest of the lowest
         if best is None or top > best[0] or means[k] < best[1]:
             best = (top, float(means[k]), idx[tied[k]])
-    return None if best is None else best[2]
+    return (None, False) if best is None else (best[2], False)
+
+
+def _consensus_fit(a, b, sample, inlier_threshold):
+    """(F, mask, on_all) of a RANSAC winner's sample.
+
+    The sample is solved again with the SVD solver, and F is refit on the
+    consensus set of that model. on_all is True when that model is ok and
+    takes all n points, and the refit on all n keeps at least 8: the result
+    that every all-inlier winner gives.
+    """
+    # the sample-stage models only rank: solve the winner with the SVD solver,
+    # as a one-sample stack like the blocks the candidates were scored in
+    models, ok = _eight_point_stack(a[sample][None], b[sample][None])
+    errors, flagged = _sampson_stack(models, a, b)
+    mask = (errors[0] < inlier_threshold) & ~flagged[0]
+    model = models[0]
+    count = int(mask.sum())
+    if count < 8:
+        raise EstimationFailedError(
+            f"best consensus has only {count} inliers (need at least 8)"
+        )
+    try:
+        refit = _eight_point_arrays(a[mask], b[mask])
+    except DegenerateConfigurationError:
+        return model, mask, False  # consensus set itself degenerate; keep the sample model
+    errors, flagged = _sampson_stack(refit, a, b)
+    final_mask = (errors < inlier_threshold) & ~flagged
+    if int(final_mask.sum()) < 8:
+        return model, mask, False  # refit drifted off the consensus; keep the sample mask
+    return refit, final_mask, bool(ok[0] and mask.all())
 
 
 def ransac_fundamental(
@@ -528,15 +575,21 @@ def ransac_fundamental(
 
     Deterministic for a given seed: iteration i draws its sample as
     default_rng(seed ^ i).choice(n, 8, replace=False), so any evaluation
-    order gives identical results. All iterations run; there is no early
-    stop. Consensus ties are broken by lower mean inlier Sampson error, then
-    by the earlier iteration. The winning model is refit on its full
-    consensus set.
+    order gives identical results. Consensus ties are broken by lower mean
+    inlier Sampson error, then by the earlier iteration. The winning model
+    is refit on its full consensus set.
 
     Minimal samples are ranked with QR null vectors, and with the SVD where
     R's diagonal spans more than QR_TRUST. The winning sample is then solved
     again with the SVD solver, so the returned F and mask always come from
     the SVD solver.
+
+    The search stops at the first iteration whose sample takes all n
+    correspondences as inliers. Any all-inlier winner gives the same result,
+    the refit on all n points, so the stop returns what ranking every
+    iteration returns. Where the stopped sample does not end in that refit
+    (its SVD model is not ok or drops a point, or the refit is degenerate or
+    keeps fewer than 8), every iteration is ranked instead.
     """
     a, b = correspondence_arrays(correspondences)
     n = len(a)
@@ -544,34 +597,22 @@ def ransac_fundamental(
         raise ValueError(f"need at least 8 correspondences, got {n}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if not math.isfinite(inlier_threshold):
+        raise ValueError(f"inlier_threshold must be finite, got {inlier_threshold}")
 
-    sample = _ransac_best(a, b, iterations, inlier_threshold, seed)
-    if sample is None:
-        raise EstimationFailedError("no RANSAC iteration produced a valid model")
-    # the sample-stage models only rank: solve the winner with the SVD solver,
-    # as a one-sample stack like the blocks the candidates were scored in
-    models, _ = _eight_point_stack(a[sample][None], b[sample][None])
-    errors, flagged = _sampson_stack(models, a, b)
-    mask = (errors[0] < inlier_threshold) & ~flagged[0]
-    model = models[0]
-    count = int(mask.sum())
-    if count < 8:
-        raise EstimationFailedError(
-            f"best consensus has only {count} inliers (need at least 8)"
-        )
-    try:
-        refit = _eight_point_arrays(a[mask], b[mask])
-    except DegenerateConfigurationError:
-        refit = model  # consensus set itself degenerate; keep the sample model
-    errors, flagged = _sampson_stack(refit, a, b)
-    final_mask = (errors < inlier_threshold) & ~flagged
-    if int(final_mask.sum()) < 8:
-        final_mask = mask  # refit drifted off the consensus; keep the sample mask
-        refit = model
-    return (
-        FundamentalMatrix(refit, inlier_count=int(final_mask.sum()), method="eight_point"),
-        final_mask,
-    )
+    sample, stopped = _ransac_best(a, b, iterations, inlier_threshold, seed, True)
+    if stopped:
+        try:
+            m, mask, on_all = _consensus_fit(a, b, sample, inlier_threshold)
+        except EstimationFailedError:
+            on_all = False
+        if not on_all:  # not the result every all-inlier winner gives
+            sample, stopped = _ransac_best(a, b, iterations, inlier_threshold, seed, False)
+    if not stopped:
+        if sample is None:
+            raise EstimationFailedError("no RANSAC iteration produced a valid model")
+        m, mask, _ = _consensus_fit(a, b, sample, inlier_threshold)
+    return FundamentalMatrix(m, inlier_count=int(mask.sum()), method="eight_point"), mask
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,23 @@ class FeatureParams:
 AGGREGATIONS = ("mean", "median", "trimmed_mean")
 
 
+def validated_gaps(gaps) -> tuple:
+    """Frame index gaps as a tuple of ints: non-empty, each a positive
+    integer (an integral float such as 4.0 counts, 1.5 does not)."""
+    given = tuple(gaps)
+    try:
+        ints = tuple(int(g) for g in given)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != given:
+        raise ValueError(f"gaps must be integers, got {list(given)}")
+    if not ints:
+        raise ValueError("gaps must be non-empty")
+    if any(g < 1 for g in ints):
+        raise ValueError("gaps must be positive")
+    return ints
+
+
 @dataclass(frozen=True)
 class ScoringParams:
     """Knobs for pair selection, estimation, and aggregation."""
@@ -72,20 +89,17 @@ class ScoringParams:
     feature_params: FeatureParams = field(default_factory=FeatureParams)
 
     def __post_init__(self):
-        gaps = tuple(int(g) for g in self.gaps)
-        object.__setattr__(self, "gaps", gaps)
-        if not gaps:
-            raise ValueError("gaps must be non-empty")
-        if any(g < 1 for g in gaps):
-            raise ValueError("gaps must be positive")
+        object.__setattr__(self, "gaps", validated_gaps(self.gaps))
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if self.min_matches < 8:
             raise ValueError("min_matches must be >= 8")
         if self.ransac_iterations < 1:
             raise ValueError("ransac_iterations must be >= 1")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
+            raise ValueError(
+                f"inlier_threshold must be positive and finite, got {self.inlier_threshold}"
+            )
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
         if not 0.0 < self.static_threshold <= 1.0:

@@ -35,6 +35,7 @@ from .records import (  # noqa: F401  re-exported: the settings and result recor
     PairScore,
     ScoringParams,
     VideoScore,
+    validated_gaps,
 )
 
 # Zero-baseline detection: a pair is degenerate when nearly every match is an
@@ -54,11 +55,7 @@ def frame_pairs(n_frames, gaps, stride=1):
     """
     if n_frames < 2:
         raise ValueError("need at least 2 frames")
-    gaps = tuple(int(g) for g in gaps)
-    if not gaps:
-        raise ValueError("gaps must be non-empty")
-    if any(g < 1 for g in gaps):
-        raise ValueError("gaps must be positive")
+    gaps = validated_gaps(gaps)
     if stride < 1:
         raise ValueError("stride must be >= 1")
     pairs = set()

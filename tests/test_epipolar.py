@@ -292,6 +292,24 @@ class TestRansac:
         with pytest.raises(EstimationFailedError):
             ransac_fundamental((xa, xb), iterations=50, inlier_threshold=1e-12, seed=5)
 
+    def test_consensus_fit_on_all_only_when_every_point_stays(self, rig):
+        # the stop's result stands only where it is the refit on all n points
+        cam_a, cam_b = rig
+        xa, xb, _ = project_box(cam_a, cam_b, 20, seed=27)
+        xb[-1] += (30.0, 0.0)
+        a, b = correspondence_arrays((xa, xb))
+        _, mask, on_all = epipolar._consensus_fit(a, b, np.arange(8), 1.0)
+        assert mask.sum() == 19 and not on_all
+        _, mask, on_all = epipolar._consensus_fit(a[:-1], b[:-1], np.arange(8), 1.0)
+        assert mask.all() and on_all
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, rig, threshold):
+        cam_a, cam_b = rig
+        xa, xb, _ = project_box(cam_a, cam_b, 20, seed=25)
+        with pytest.raises(ValueError, match="inlier_threshold must be finite"):
+            ransac_fundamental((xa, xb), iterations=5, inlier_threshold=threshold)
+
     def test_negative_seed_rejected_as_by_numpy(self, rig):
         cam_a, cam_b = rig
         xa, xb, _ = project_box(cam_a, cam_b, 20, seed=25)
@@ -304,6 +322,8 @@ class TestRansac:
         ({6: (4, 0.5), 9: (4, 0.5)}, 6),       # most inliers, then the earliest
         ({7: (3, 0.25), 9: (3, 0.25)}, 7),     # lowest mean error, then the earliest
         ({2: (3, 0.25), 5: (4, 0.75)}, 5),     # count first, error second
+        ({3: (12, 0.5), 6: (12, 0.25)}, 3),    # the first all-inlier stops the search
+        ({5: (12, 0.5), 6: (12, 0.25)}, 5),    # ... also within one block
     ])
     def test_selection_rule(self, monkeypatch, special, winner):
         # stubbed solver and scorer: iteration i has `count` inliers, the
@@ -327,8 +347,9 @@ class TestRansac:
         monkeypatch.setattr(epipolar, "_sampson_stack", score)
         monkeypatch.setattr(epipolar, "RANSAC_BLOCK_POINTS", 4 * n)
         points = np.ones((n, 3))
-        sample = epipolar._ransac_best(points, points, iterations, 1.0, 0)
+        sample, stopped = epipolar._ransac_best(points, points, iterations, 1.0, 0, True)
         np.testing.assert_array_equal(sample, reference_samples(n, 0, winner, winner + 1)[0])
+        assert stopped == (special.get(winner, (3, 0.5))[0] == n)  # all n points inliers
 
 def reference_samples(n, seed, start, stop):
     """Per-iteration NumPy draws: row k is the sample of iteration start + k."""
@@ -521,6 +542,39 @@ class TestRansacAgainstReference:
             assert outcomes == [outcomes[0]] * len(outcomes), (case, kwargs)
         assert partial_blocks > 0
 
+    def test_stop_falls_back_when_the_refit_drops_points(self, rig, monkeypatch):
+        # n = 8 with 7 distinct points: the first all-inlier sample's refit
+        # keeps 6 < 8 points, so that sample's result is not the refit on
+        # all n, and every iteration is ranked instead
+        rng = np.random.default_rng(606)
+        for _ in range(216):
+            corr, kwargs = random_ransac_case(rng, rig)
+        a, b = epipolar.correspondence_arrays(corr)
+        assert len(a) == 8 and len(np.unique(np.hstack([a, b]), axis=0)) == 7
+        assert kwargs == dict(iterations=77, inlier_threshold=4.0, seed=2790843369)
+        stopped_sample, stopped = epipolar._ransac_best(a, b, 77, 4.0, 2790843369, True)
+        assert stopped
+        refit = epipolar._eight_point_arrays(a, b)
+        errors, flagged = epipolar._sampson_stack(refit, a, b)
+        assert int(((errors < 4.0) & ~flagged).sum()) == 6
+        want = reference_ransac(corr, **kwargs)
+        m, _, on_all = epipolar._consensus_fit(a, b, stopped_sample, 4.0)
+        assert not on_all and m.tobytes() != want[0].tobytes()
+
+        calls = []
+        ransac_best = epipolar._ransac_best
+
+        def recorded(*args):
+            result = ransac_best(*args)
+            calls.append((args[-1], result[1]))
+            return result
+
+        monkeypatch.setattr(epipolar, "_ransac_best", recorded)
+        f, mask = ransac_fundamental(corr, **kwargs)
+        assert calls == [(True, True), (False, False)]
+        assert f.m.tobytes() == want[0].tobytes()
+        assert mask.tobytes() == want[1].tobytes()
+
 
 class TestFundamentalFromCameras:
     def test_pure_translation_skew_form(self):
@@ -688,6 +742,21 @@ class TestProperties:
         means = errors[masks].reshape(rows, top).mean(axis=1)
         for k in range(rows):
             assert means[k].tobytes() == errors[k][masks[k]].mean().tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 400),
+           iterations=st.integers(1, 300), threshold=st.floats(1e-9, 100.0))
+    def test_clean_sets_stop_byte_equal_to_full_search(self, seed, n, iterations, threshold):
+        # noise- and outlier-free sets stop at their first all-inlier sample;
+        # the result must be the full search's, bit for bit
+        rng = np.random.default_rng(seed)
+        cam_a, cam_b = _random_rig(rng)
+        xa, xb, _ = project_box(cam_a, cam_b, n, seed=seed)
+        kwargs = dict(iterations=iterations, inlier_threshold=threshold, seed=seed)
+        f, mask = ransac_fundamental((xa, xb), **kwargs)
+        want_f, want_mask = reference_ransac((xa, xb), **kwargs)
+        assert f.m.tobytes() == want_f.tobytes()
+        assert mask.tobytes() == want_mask.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 3.0))

@@ -146,6 +146,27 @@ def test_scoring_params_validation():
         ScoringParams(inlier_threshold=0.0)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_non_finite_inlier_threshold_rejected(threshold):
+    # a NaN threshold takes no inlier, so every pair would fail estimation
+    # and the video be flagged as texture-poor instead of the setting
+    with pytest.raises(ValueError, match="inlier_threshold must be positive and finite"):
+        ScoringParams(inlier_threshold=threshold)
+
+
+@pytest.mark.parametrize("gaps", [(1.5, 2.9), (2, 0.5), (float("nan"),), (float("inf"),), ("4",)])
+def test_non_integral_gaps_rejected(gaps):
+    with pytest.raises(ValueError, match="gaps must be integers"):
+        ScoringParams(gaps=gaps)
+    with pytest.raises(ValueError, match="gaps must be integers"):
+        frame_pairs(10, gaps, 1)
+
+
+def test_integral_gaps_become_ints():
+    gaps = ScoringParams(gaps=(4.0, np.int64(8))).gaps
+    assert gaps == (4, 8) and all(type(g) is int for g in gaps)
+
+
 # ------------------------------------------------- correspondence-level scoring
 
 def test_clean_orbit_scores_ok_with_tiny_error():
@@ -256,6 +277,30 @@ def test_memoized_ransac_draws_do_not_change_scores():
     info = epipolar._ransac_samples.cache_info()
     assert (info.hits, info.hits + info.misses) == (12, 15)
     assert score_reversed() == cold
+
+
+@pytest.mark.parametrize("sigma, ranked", [
+    (0.0, epipolar._FIRST_BLOCK),            # the first sample takes every point
+    (4.0, CORR_PARAMS.ransac_iterations),    # no sample does
+])
+def test_ransac_stops_at_the_first_full_consensus(monkeypatch, sigma, ranked):
+    # count the minimal samples each pair of a criterion-5 ladder video ranks
+    scene = generate_scene(120, extent=2.5, seed=1003)
+    spec = TrajectorySpec(kind="orbit", n_frames=8, jitter_sigma=sigma)
+    pairs = frame_pairs(8, CORR_PARAMS.gaps, CORR_PARAMS.stride)
+    proj = project_scene(scene, camera_trajectory(spec), spec, pairs=pairs)
+    rows = []
+    sample_stack = epipolar._sample_stack
+
+    def counted(a, b):
+        rows.append(len(a))
+        return sample_stack(a, b)
+
+    monkeypatch.setattr(epipolar, "_sample_stack", counted)
+    score = score_video_from_correspondences(
+        proj.pairs, CORR_PARAMS, seed=1003, diagonal=DIAG_DEFAULT)
+    assert [p.status for p in score.pair_scores] == [STATUS_OK] * len(pairs)
+    assert sum(rows) == ranked * len(pairs)
 
 
 def test_diagonal_normalization_rescales_errors():

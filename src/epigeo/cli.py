@@ -64,6 +64,7 @@ from .records import (
     FeatureParams,
     ScoringParams,
     TrajectorySpec,
+    _store_int_fields,
     canonical_json,
     read_jsonl,
     video_score_from_record,
@@ -122,6 +123,7 @@ class RunConfig:
     scoring: ScoringParams = field(default_factory=ScoringParams)
 
     def __post_init__(self):
+        _store_int_fields(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

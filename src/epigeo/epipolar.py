@@ -21,10 +21,9 @@ RANSAC ranks its minimal samples with QR null vectors, falling back to the
 SVD for a sample whose R diagonal spans more than QR_TRUST (close to
 rank-deficient). Those models only rank: the winning sample is solved again
 with the SVD solver, so every returned F and mask comes from the SVD solver.
-RANSAC stops at the first sample that takes every correspondence as an
-inlier: every all-inlier winner ends in the same refit on all points, so
-the later iterations cannot change the result. Where that sample does not
-end in that refit, every iteration is ranked instead.
+RANSAC stops at the first full consensus when that sample ends in the
+refit on all points, the result every all-inlier winner gives; otherwise
+ranking continues in the same pass, so no iteration is ranked twice.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .records import _as_int
 
 # squared-pixel value reported when an error denominator collapses
 # (point at an epipole); such entries carry a flag and are excluded
@@ -489,17 +490,16 @@ def _ransac_samples(n, seed, start, stop):
     return picked
 
 
-def _ransac_best(a, b, iterations, inlier_threshold, seed, stop_at_full):
-    """(sample rows (8,) of the best RANSAC candidate, stopped), or
-    (None, False) if no iteration gives a model with inliers.
+def _ransac(a, b, iterations, inlier_threshold, seed):
+    """(F, mask) of the RANSAC winner, refit on its consensus set.
 
     Iterations are solved with _sample_stack and scored in blocks, one
     stacked call per step. The best candidate has the most inliers; among
     those, the lowest mean inlier Sampson error, and then the earliest
-    iteration. With stop_at_full, the search stops at the first iteration
-    whose model is ok and takes all n points as inliers, and returns that
-    sample with stopped True: no later iteration has more inliers. The stop
-    is decided per iteration, so it does not depend on the block size.
+    iteration. The search stops at the first sample that takes all n
+    points when _consensus_fit gives on_all for it; otherwise ranking goes
+    on in the same pass. The stop is decided per iteration, so it does not
+    depend on the block size.
     """
     n = len(a)
     block = max(1, RANSAC_BLOCK_POINTS // n)
@@ -511,7 +511,7 @@ def _ransac_best(a, b, iterations, inlier_threshold, seed, stop_at_full):
     # iterations alone; the other blocks stay on the grid, each in one draw
     grid = {0, min(_FIRST_BLOCK, block), *range(block, iterations, block)}
     starts = sorted(s for s in grid if s < iterations)
-    best = None
+    best = (0, math.inf, None)  # (inliers, mean inlier error, sample rows)
     for start, stop in zip(starts, starts[1:] + [iterations]):
         if start % chunk == 0:
             drawn = _ransac_samples(n, seed, start, min(start + chunk, iterations))
@@ -521,18 +521,27 @@ def _ransac_best(a, b, iterations, inlier_threshold, seed, stop_at_full):
         masks = (errors < inlier_threshold) & ~flagged
         counts = np.where(ok, masks.sum(axis=1), 0)
         top = int(counts.max())
-        if stop_at_full and top == n:
-            return idx[int(np.argmax(counts))], True  # the earliest
-        if top == 0 or (best is not None and top < best[0]):
+        if top == n > best[0]:  # the first full consensus
+            sample = idx[int(np.argmax(counts))]  # the earliest
+            try:
+                m, mask, on_all = _consensus_fit(a, b, sample, inlier_threshold)
+            except EstimationFailedError:
+                on_all = False
+            if on_all:
+                return m, mask
+        if top == 0 or top < best[0]:
             continue
         # every tied row holds exactly `top` inliers, so their errors reshape
         # to (tied, top); each row's mean is the bits of that row's .mean()
         tied = np.flatnonzero(counts == top)
         means = errors[tied][masks[tied]].reshape(len(tied), top).mean(axis=1)
         k = int(np.argmin(means))  # the earliest of the lowest
-        if best is None or top > best[0] or means[k] < best[1]:
+        if top > best[0] or means[k] < best[1]:
             best = (top, float(means[k]), idx[tied[k]])
-    return (None, False) if best is None else (best[2], False)
+    if best[2] is None:
+        raise EstimationFailedError("no RANSAC iteration produced a valid model")
+    m, mask, _ = _consensus_fit(a, b, best[2], inlier_threshold)
+    return m, mask
 
 
 def _consensus_fit(a, b, sample, inlier_threshold):
@@ -584,34 +593,24 @@ def ransac_fundamental(
     again with the SVD solver, so the returned F and mask always come from
     the SVD solver.
 
-    The search stops at the first iteration whose sample takes all n
-    correspondences as inliers. Any all-inlier winner gives the same result,
-    the refit on all n points, so the stop returns what ranking every
-    iteration returns. Where the stopped sample does not end in that refit
-    (its SVD model is not ok or drops a point, or the refit is degenerate or
-    keeps fewer than 8), every iteration is ranked instead.
+    The search stops at the first full consensus, a sample that takes all n
+    correspondences as inliers, when that sample ends in the refit on all
+    points, the result every all-inlier winner gives; otherwise ranking
+    continues in the same pass, so no iteration is ranked twice.
     """
     a, b = correspondence_arrays(correspondences)
     n = len(a)
     if n < 8:
         raise ValueError(f"need at least 8 correspondences, got {n}")
-    if iterations < 1:
+    count = _as_int(iterations)
+    if count is None:
+        raise ValueError(f"iterations must be an integer, got {iterations!r}")
+    if count < 1:
         raise ValueError("iterations must be >= 1")
     if not math.isfinite(inlier_threshold):
         raise ValueError(f"inlier_threshold must be finite, got {inlier_threshold}")
 
-    sample, stopped = _ransac_best(a, b, iterations, inlier_threshold, seed, True)
-    if stopped:
-        try:
-            m, mask, on_all = _consensus_fit(a, b, sample, inlier_threshold)
-        except EstimationFailedError:
-            on_all = False
-        if not on_all:  # not the result every all-inlier winner gives
-            sample, stopped = _ransac_best(a, b, iterations, inlier_threshold, seed, False)
-    if not stopped:
-        if sample is None:
-            raise EstimationFailedError("no RANSAC iteration produced a valid model")
-        m, mask, _ = _consensus_fit(a, b, sample, inlier_threshold)
+    m, mask = _ransac(a, b, count, inlier_threshold, seed)
     return FundamentalMatrix(m, inlier_count=int(mask.sum()), method="eight_point"), mask
 
 

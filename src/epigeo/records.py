@@ -6,9 +6,10 @@ numeric stack.  The modules that compute re-export the names they use from
 here (``features.FeatureParams``, ``scoring.VideoScore``, ``io.read_jsonl``
 and so on), so either import path gives the same objects.
 
-Settings records check their own ranges and alone declare their defaults.
-A JSONL record is exactly its dataclass's fields; :func:`from_record` builds
-any of them back.  JSONL files are UTF-8 with one JSON object per line; an
+Settings records check their own ranges and alone declare their defaults;
+an int setting takes an integral number (4.0 is stored as 4; 1.5 and True
+are errors).  A JSONL record is exactly its dataclass's fields;
+:func:`from_record` builds any of them back.  JSONL files are UTF-8 with one JSON object per line; an
 optional metadata header is a single leading line starting with '#'.
 """
 
@@ -19,6 +20,30 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 # ------------------------------------------------------------------ settings
+
+
+def _as_int(value):
+    """value as an int when it is an integral number (4.0 counts; 1.5, nan,
+    "4" and True do not), else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
+
+
+def _store_int_fields(record) -> None:
+    """Store each int field of a frozen settings record as an int, or raise
+    ValueError naming the field; an `int | None` field may also be None."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            as_int = _as_int(value)
+            if as_int is None:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(record, f.name, as_int)
 
 
 @dataclass(frozen=True)
@@ -36,16 +61,21 @@ class FeatureParams:
     max_dim: int | None = None
 
     def __post_init__(self):
+        _store_int_fields(self)
         if self.octaves < 1:
             raise ValueError("octaves must be >= 1")
         if self.scales_per_octave < 3:
             raise ValueError("scales_per_octave must be >= 3")
-        if self.base_sigma <= 0:
-            raise ValueError("base_sigma must be positive")
-        if self.contrast_threshold < 0:
-            raise ValueError("contrast_threshold must be >= 0")
-        if self.edge_ratio_threshold <= 0:
-            raise ValueError("edge_ratio_threshold must be positive")
+        if not (math.isfinite(self.base_sigma) and self.base_sigma > 0):
+            raise ValueError(f"base_sigma must be positive and finite, got {self.base_sigma}")
+        if not (math.isfinite(self.contrast_threshold) and self.contrast_threshold >= 0):
+            raise ValueError(
+                f"contrast_threshold must be >= 0 and finite, got {self.contrast_threshold}"
+            )
+        if not (math.isfinite(self.edge_ratio_threshold) and self.edge_ratio_threshold > 0):
+            raise ValueError(
+                f"edge_ratio_threshold must be positive and finite, got {self.edge_ratio_threshold}"
+            )
         if not 0.0 < self.ratio_threshold <= 1.0:
             raise ValueError("ratio_threshold must be in (0, 1]")
         if self.max_keypoints < 1:
@@ -59,13 +89,10 @@ AGGREGATIONS = ("mean", "median", "trimmed_mean")
 
 def validated_gaps(gaps) -> tuple:
     """Frame index gaps as a tuple of ints: non-empty, each a positive
-    integer (an integral float such as 4.0 counts, 1.5 does not)."""
+    integer (an integral float such as 4.0 counts, 1.5 and True do not)."""
     given = tuple(gaps)
-    try:
-        ints = tuple(int(g) for g in given)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != given:
+    ints = tuple(_as_int(g) for g in given)
+    if None in ints:
         raise ValueError(f"gaps must be integers, got {list(given)}")
     if not ints:
         raise ValueError("gaps must be non-empty")
@@ -89,6 +116,7 @@ class ScoringParams:
     feature_params: FeatureParams = field(default_factory=FeatureParams)
 
     def __post_init__(self):
+        _store_int_fields(self)
         object.__setattr__(self, "gaps", validated_gaps(self.gaps))
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
@@ -138,6 +166,7 @@ class TrajectorySpec:
     dynamic_speed: float = 0.05
 
     def __post_init__(self):
+        _store_int_fields(self)
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.n_frames < 2:

@@ -34,7 +34,7 @@ from epigeo.cli import (
 )
 from epigeo.image import Frame
 from epigeo.io import read_jsonl, write_jsonl, write_pgm
-from epigeo.records import TrajectorySpec
+from epigeo.records import FeatureParams, ScoringParams, TrajectorySpec
 from epigeo.synth import camera_trajectory
 
 SCORE_FLAGS = [
@@ -421,6 +421,20 @@ def test_runconfig_hash_is_stable_hex():
     assert a == RunConfig().config_hash
     assert len(a) == 16
     int(a, 16)
+
+
+def test_integral_float_settings_keep_the_hash():
+    # int settings are stored as ints, so 2000.0 hashes as 2000 does
+    scoring = ScoringParams(ransac_iterations=2000.0, stride=4.0,
+                            feature_params=FeatureParams(octaves=4.0))
+    assert RunConfig(seed=0.0, scoring=scoring).config_hash == RunConfig().config_hash
+
+
+@pytest.mark.parametrize("name", ["seed", "max_pairs_per_group"])
+@pytest.mark.parametrize("value", [1.5, True])
+def test_runconfig_rejects_non_integral_ints(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+        RunConfig(**{name: value})
 
 
 def test_runconfig_hash_tracks_fields():

@@ -310,6 +310,20 @@ class TestRansac:
         with pytest.raises(ValueError, match="inlier_threshold must be finite"):
             ransac_fundamental((xa, xb), iterations=5, inlier_threshold=threshold)
 
+    @pytest.mark.parametrize("iterations", [2.5, True, float("nan"), "5"])
+    def test_non_integral_iterations_rejected(self, rig, iterations):
+        cam_a, cam_b = rig
+        xa, xb, _ = project_box(cam_a, cam_b, 20, seed=25)
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            ransac_fundamental((xa, xb), iterations=iterations)
+
+    def test_integral_iterations_accepted(self, rig):
+        cam_a, cam_b = rig
+        xa, xb, _ = project_box(cam_a, cam_b, 20, seed=25)
+        f, mask = ransac_fundamental((xa, xb), iterations=5)
+        g, same = ransac_fundamental((xa, xb), iterations=5.0)
+        assert f.m.tobytes() == g.m.tobytes() and mask.tobytes() == same.tobytes()
+
     def test_negative_seed_rejected_as_by_numpy(self, rig):
         cam_a, cam_b = rig
         xa, xb, _ = project_box(cam_a, cam_b, 20, seed=25)
@@ -317,19 +331,15 @@ class TestRansac:
             ransac_fundamental((xa, xb), iterations=5, seed=-1)
 
 
-    @pytest.mark.parametrize("special, winner", [
-        ({}, 0),                               # all tie: the earliest iteration
-        ({6: (4, 0.5), 9: (4, 0.5)}, 6),       # most inliers, then the earliest
-        ({7: (3, 0.25), 9: (3, 0.25)}, 7),     # lowest mean error, then the earliest
-        ({2: (3, 0.25), 5: (4, 0.75)}, 5),     # count first, error second
-        ({3: (12, 0.5), 6: (12, 0.25)}, 3),    # the first all-inlier stops the search
-        ({5: (12, 0.5), 6: (12, 0.25)}, 5),    # ... also within one block
-    ])
-    def test_selection_rule(self, monkeypatch, special, winner):
-        # stubbed solver and scorer: iteration i has `count` inliers, the
-        # points i, i+1, ..., each at `error`; blocks of 4 iterations
+    @staticmethod
+    def stub_ransac(monkeypatch, special, on_all=True):
+        """_ransac on stubbed stages: iteration i has `count` inliers, the
+        points i, i+1, ..., each at `error`; blocks of 4 of 10 iterations on
+        12 points. _consensus_fit returns the sample as F, with the given
+        on_all. Returns (F, iterations ranked, samples fit)."""
         n, iterations = 12, 10
         solved = iter(range(iterations))
+        fits = []
 
         def solve(a_s, b_s):
             models = np.zeros((len(a_s), 3, 3))
@@ -343,13 +353,45 @@ class TestRansac:
                 errors[row, (i + np.arange(count)) % n] = error
             return errors, np.zeros(errors.shape, dtype=bool)
 
+        def fit(a, b, sample, inlier_threshold):
+            fits.append(sample)
+            return sample, None, on_all
+
         monkeypatch.setattr(epipolar, "_sample_stack", solve)
         monkeypatch.setattr(epipolar, "_sampson_stack", score)
+        monkeypatch.setattr(epipolar, "_consensus_fit", fit)
         monkeypatch.setattr(epipolar, "RANSAC_BLOCK_POINTS", 4 * n)
         points = np.ones((n, 3))
-        sample, stopped = epipolar._ransac_best(points, points, iterations, 1.0, 0, True)
-        np.testing.assert_array_equal(sample, reference_samples(n, 0, winner, winner + 1)[0])
-        assert stopped == (special.get(winner, (3, 0.5))[0] == n)  # all n points inliers
+        m, _ = epipolar._ransac(points, points, iterations, 1.0, 0)
+        return m, iterations - len(list(solved)), fits
+
+    @pytest.mark.parametrize("special, winner", [
+        ({}, 0),                               # all tie: the earliest iteration
+        ({6: (4, 0.5), 9: (4, 0.5)}, 6),       # most inliers, then the earliest
+        ({7: (3, 0.25), 9: (3, 0.25)}, 7),     # lowest mean error, then the earliest
+        ({2: (3, 0.25), 5: (4, 0.75)}, 5),     # count first, error second
+        ({3: (12, 0.5), 6: (12, 0.25)}, 3),    # the first all-inlier stops the search
+        ({5: (12, 0.5), 6: (12, 0.25)}, 5),    # ... also within one block
+    ])
+    def test_selection_rule(self, monkeypatch, special, winner):
+        m, ranked, fits = self.stub_ransac(monkeypatch, special)
+        want = reference_samples(12, 0, winner, winner + 1)[0]
+        np.testing.assert_array_equal(m, want)
+        assert len(fits) == 1
+        # a stop ends the ranking with the stopped block (blocks 0-3, 4-7, 8-9)
+        stopped = special.get(winner, (3, 0.5))[0] == 12
+        assert ranked == (4 * (winner // 4 + 1) if stopped else 10)
+
+    def test_fallback_ranks_on_in_the_same_pass(self, monkeypatch):
+        # the first all-inlier sample does not end in the refit on all n:
+        # ranking goes on from the next block, and the lowest mean error wins
+        special = {3: (12, 0.5), 6: (12, 0.25), 9: (12, 0.25)}
+        m, ranked, fits = self.stub_ransac(monkeypatch, special, on_all=False)
+        np.testing.assert_array_equal(m, reference_samples(12, 0, 6, 7)[0])
+        assert ranked == 10
+        samples = reference_samples(12, 0, 0, 10)
+        np.testing.assert_array_equal(fits, samples[[3, 6]])  # the stop is tried once
+
 
 def reference_samples(n, seed, start, stop):
     """Per-iteration NumPy draws: row k is the sample of iteration start + k."""
@@ -488,7 +530,7 @@ class TestRansacAgainstReference:
     def test_random_cases_byte_equal(self, rig, monkeypatch):
         # count the minimal samples the sample stage sends to the SVD
         svd_rows = []
-        svd_null_vectors, ransac_best = epipolar._svd_null_vectors, epipolar._ransac_best
+        svd_null_vectors, sample_stack = epipolar._svd_null_vectors, epipolar._sample_stack
 
         def counted_svd(design):
             svd_rows.append(len(design))
@@ -497,9 +539,9 @@ class TestRansacAgainstReference:
         def sample_stage(*args):
             with monkeypatch.context() as m:
                 m.setattr(epipolar, "_svd_null_vectors", counted_svd)
-                return ransac_best(*args)
+                return sample_stack(*args)
 
-        monkeypatch.setattr(epipolar, "_ransac_best", sample_stage)
+        monkeypatch.setattr(epipolar, "_sample_stack", sample_stage)
         rng = np.random.default_rng(606)
         outcomes = set()
         samples = 0
@@ -545,33 +587,38 @@ class TestRansacAgainstReference:
     def test_stop_falls_back_when_the_refit_drops_points(self, rig, monkeypatch):
         # n = 8 with 7 distinct points: the first all-inlier sample's refit
         # keeps 6 < 8 points, so that sample's result is not the refit on
-        # all n, and every iteration is ranked instead
+        # all n, and ranking goes on in the same pass
         rng = np.random.default_rng(606)
         for _ in range(216):
             corr, kwargs = random_ransac_case(rng, rig)
         a, b = epipolar.correspondence_arrays(corr)
         assert len(a) == 8 and len(np.unique(np.hstack([a, b]), axis=0)) == 7
         assert kwargs == dict(iterations=77, inlier_threshold=4.0, seed=2790843369)
-        stopped_sample, stopped = epipolar._ransac_best(a, b, 77, 4.0, 2790843369, True)
-        assert stopped
         refit = epipolar._eight_point_arrays(a, b)
         errors, flagged = epipolar._sampson_stack(refit, a, b)
         assert int(((errors < 4.0) & ~flagged).sum()) == 6
         want = reference_ransac(corr, **kwargs)
-        m, _, on_all = epipolar._consensus_fit(a, b, stopped_sample, 4.0)
-        assert not on_all and m.tobytes() != want[0].tobytes()
 
-        calls = []
-        ransac_best = epipolar._ransac_best
+        rows, fits = [], []
+        sample_stack, consensus_fit = epipolar._sample_stack, epipolar._consensus_fit
+
+        def counted(a_s, b_s):
+            rows.append(len(a_s))
+            return sample_stack(a_s, b_s)
 
         def recorded(*args):
-            result = ransac_best(*args)
-            calls.append((args[-1], result[1]))
+            result = consensus_fit(*args)
+            fits.append(result)
             return result
 
-        monkeypatch.setattr(epipolar, "_ransac_best", recorded)
+        monkeypatch.setattr(epipolar, "_sample_stack", counted)
+        monkeypatch.setattr(epipolar, "_consensus_fit", recorded)
         f, mask = ransac_fundamental(corr, **kwargs)
-        assert calls == [(True, True), (False, False)]
+        # the stop is tried on the first block's all-inlier sample, does not
+        # hold, and every iteration is ranked once
+        assert [on_all for _, _, on_all in fits] == [False, False]
+        assert fits[0][0].tobytes() != want[0].tobytes()
+        assert rows == [16, 61]  # 77 rows: each iteration ranked once
         assert f.m.tobytes() == want[0].tobytes()
         assert mask.tobytes() == want[1].tobytes()
 
@@ -731,7 +778,7 @@ class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
            n=st.integers(1, 400), share=st.floats(0.0, 1.0))
     def test_tied_row_means_match_each_row_mean(self, seed, rows, n, share):
-        # _ransac_best averages the rows tied at the top inlier count in one
+        # _ransac averages the rows tied at the top inlier count in one
         # reshape; every bit must equal the per-row mean it replaced
         rng = np.random.default_rng(seed)
         top = max(1, round(share * n))

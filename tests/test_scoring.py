@@ -154,7 +154,8 @@ def test_non_finite_inlier_threshold_rejected(threshold):
         ScoringParams(inlier_threshold=threshold)
 
 
-@pytest.mark.parametrize("gaps", [(1.5, 2.9), (2, 0.5), (float("nan"),), (float("inf"),), ("4",)])
+@pytest.mark.parametrize("gaps", [(1.5, 2.9), (2, 0.5), (float("nan"),), (float("inf"),), ("4",),
+                                  (True, 4)])
 def test_non_integral_gaps_rejected(gaps):
     with pytest.raises(ValueError, match="gaps must be integers"):
         ScoringParams(gaps=gaps)
@@ -165,6 +166,40 @@ def test_non_integral_gaps_rejected(gaps):
 def test_integral_gaps_become_ints():
     gaps = ScoringParams(gaps=(4.0, np.int64(8))).gaps
     assert gaps == (4, 8) and all(type(g) is int for g in gaps)
+
+
+INT_FIELDS = [
+    (ScoringParams, "stride"), (ScoringParams, "min_matches"),
+    (ScoringParams, "ransac_iterations"), (FeatureParams, "octaves"),
+    (FeatureParams, "scales_per_octave"), (FeatureParams, "max_keypoints"),
+    (FeatureParams, "max_dim"), (TrajectorySpec, "n_frames"),
+    (TrajectorySpec, "width"), (TrajectorySpec, "height"),
+]
+
+
+@pytest.mark.parametrize("cls, name", INT_FIELDS)
+@pytest.mark.parametrize("value", [100.5, True, float("nan"), float("inf"), "100"])
+def test_int_settings_reject_non_integers(cls, name, value):
+    # a non-integral value failed deep in the pipeline or was kept silently
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", INT_FIELDS)
+def test_integral_int_settings_become_ints(cls, name):
+    given = getattr(cls(), name) or 100  # max_dim defaults to None
+    for value in (float(given), np.int64(given)):
+        got = getattr(cls(**{name: value}), name)
+        assert got == given and type(got) is int
+
+
+@pytest.mark.parametrize("name", ["base_sigma", "contrast_threshold", "edge_ratio_threshold"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_feature_settings_rejected(name, value):
+    # a NaN threshold keeps no keypoint, so every pair would lack matches and
+    # the video be flagged as texture-poor instead of the setting
+    with pytest.raises(ValueError, match=f"{name} must be .* finite, got"):
+        FeatureParams(**{name: value})
 
 
 # ------------------------------------------------- correspondence-level scoring

@@ -14,7 +14,7 @@ Submodules
     scoring    pairwise estimation -> per-video consistency scores
     dataset    ranking and preference-pair emission
     alignment  preference loss, gradients, toy trainer
-    records    settings and result records, JSONL helpers (no NumPy)
+    records    settings, run config and result records, JSONL helpers (no NumPy)
     io         frame files: PGM encoding, decoding by path
     cli        `epigeo` command-line entry point
 

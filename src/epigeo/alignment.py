@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import (  # noqa: F401  re-exported: the objective's defaults live in records
-    CLEAN_MODES,
+from .records import (
     DEFAULT_BETA,
     DEFAULT_CLEAN_MODE,
     DEFAULT_CLIP_DIMS,
@@ -28,7 +27,7 @@ from .records import (  # noqa: F401  re-exported: the objective's defaults live
     DEFAULT_LEARNING_RATE,
     DEFAULT_PENALTY_BRANCH,
     DEFAULT_STEPS,
-    PENALTY_BRANCHES,
+    check_objective_settings,
 )
 
 DIVERGENCE_LIMIT = 1e6
@@ -122,8 +121,7 @@ class LinearVelocityModel:
 
 def beta_schedule(t: float, beta: float) -> float:
     """Preference strength over time: beta * (1 - t^2), zero at pure noise."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_objective_settings(beta=beta)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     return beta * (1.0 - t * t)
@@ -152,8 +150,7 @@ def predict_clean(x_t, t: float, v, mode: str = DEFAULT_CLEAN_MODE) -> np.ndarra
     target velocity eps - x0.  reverse_time: x_t + (1-t) v, exact under the
     opposite time convention (x_t = t x0 + (1-t) eps with v = x0 - eps).
     """
-    if mode not in CLEAN_MODES:
-        raise ValueError(f"mode must be one of {CLEAN_MODES}")
+    check_objective_settings(clean_mode=mode)
     x_t = np.asarray(x_t, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if x_t.shape != v.shape:
@@ -210,8 +207,7 @@ def temporal_penalty(x0_hat, lam: float = DEFAULT_LAMBDA) -> float:
 
     Always <= 0; minimizing a total loss that includes it rewards motion.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    check_objective_settings(lam=lam)
     x0_hat = as_clip(x0_hat)
     variances = np.mean((x0_hat - x0_hat.mean(axis=0)) ** 2, axis=0)  # divisor T
     return float(-lam * variances.mean())
@@ -235,12 +231,7 @@ def _model_gradient_from_residual(residual, x_t, t):
 
 def _loss_and_gradient(item, model_theta, model_ref, beta, lam, penalty_branch, clean_mode):
     """total_loss and its analytic gradient wrt theta's flat parameters."""
-    if penalty_branch not in PENALTY_BRANCHES:
-        raise ValueError(f"penalty_branch must be one of {PENALTY_BRANCHES}")
-    if clean_mode not in CLEAN_MODES:
-        raise ValueError(f"clean_mode must be one of {CLEAN_MODES}")
-    if not lam >= 0:
-        raise ValueError("lam must be >= 0")
+    check_objective_settings(beta, lam, clean_mode, penalty_branch)
     t = item.t
     branches, bt, z = _forward(item, model_theta, model_ref, beta)
     loss = float(np.logaddexp(0.0, -z))

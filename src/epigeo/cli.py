@@ -5,14 +5,15 @@ ground-truth scenes, `score` measures videos, `rank` orders generations per
 prompt, `pairs` builds preference pairs, `dpo-demo` runs the toy alignment
 trainer, and `ssim` compares two frames.
 
-Every subcommand but `rank` is configured by a RunConfig: the defaults of the
-library's parameter records, overridden by an optional JSON config file,
-overridden by explicit flags.  The canonical serialization of the effective
-RunConfig is hashed and embedded in every output artifact, and all outputs are
-deterministic given flags plus seed (reruns are byte identical).  `synth`'s
-scene flags are not config keys, so its hash does not cover them; scene.json
-records them, with the cameras.  `rank` reads no configuration; its output
-carries the config hash of its scores file.
+Every subcommand but `rank` is configured by a ``records.RunConfig``: the
+defaults of the library's parameter records, overridden by an optional JSON
+config file, overridden by explicit flags, each value checked as it loads.
+The canonical serialization of the effective RunConfig is hashed and
+embedded in every output artifact, and all outputs are deterministic given
+flags plus seed (reruns are byte identical).  `synth`'s scene flags are not
+config keys, so its hash does not cover them; scene.json records them, with
+the cameras.  `rank` reads no configuration; its output carries the config
+hash of its scores file.
 
 `score` scores its videos in worker processes, one per video up to the CPUs
 the process may run on; its outputs do not depend on the number of workers.
@@ -32,13 +33,12 @@ videos flagged or groups skipped), 64 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict
 from importlib import import_module
 from itertools import repeat
 
@@ -47,24 +47,15 @@ from .dataset import GenerationGroup, GroupSkipped, build_pairs, rank_group
 from .records import (
     AGGREGATIONS,
     CLEAN_MODES,
-    DEFAULT_BETA,
-    DEFAULT_CLEAN_MODE,
     DEFAULT_CLIP_DIMS,
     DEFAULT_CLIP_FRAMES,
     DEFAULT_DOT_SIGMA,
-    DEFAULT_EPSILON,
-    DEFAULT_LAMBDA,
     DEFAULT_LEARNING_RATE,
-    DEFAULT_MAX_PAIRS_PER_GROUP,
-    DEFAULT_PENALTY_BRANCH,
     DEFAULT_STEPS,
-    DEFAULT_TAU,
     PENALTY_BRANCHES,
     TRAJECTORY_KINDS,
-    FeatureParams,
-    ScoringParams,
+    RunConfig,
     TrajectorySpec,
-    _store_int_fields,
     canonical_json,
     read_jsonl,
     video_score_from_record,
@@ -101,69 +92,8 @@ def _lib(name: str):
     return getattr(sys.modules[__name__], name)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-level settings plus the scoring parameters of one run.
-
-    Feature and scoring settings live only in ``scoring``, which carries its
-    FeatureParams.  Config files, flags and :meth:`to_dict` address all of
-    them by one flat set of keys.
-    """
-
-    seed: int = 0
-    # preference-pair thresholds
-    tau: float = DEFAULT_TAU
-    epsilon: float = DEFAULT_EPSILON
-    max_pairs_per_group: int = DEFAULT_MAX_PAIRS_PER_GROUP
-    # alignment objective
-    beta: float = DEFAULT_BETA
-    lam: float = DEFAULT_LAMBDA
-    clean_mode: str = DEFAULT_CLEAN_MODE
-    penalty_branch: str = DEFAULT_PENALTY_BRANCH
-    scoring: ScoringParams = field(default_factory=ScoringParams)
-
-    def __post_init__(self):
-        _store_int_fields(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        """The flat key layout that config files use and the hash covers."""
-        flat = asdict(self)
-        scoring = flat.pop("scoring")
-        flat.update(scoring.pop("feature_params"))
-        flat.update(scoring)
-        flat["gaps"] = list(flat["gaps"])
-        return flat
-
-    @property
-    def config_hash(self) -> str:
-        digest = hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8"))
-        return digest.hexdigest()[:16]
-
-
-def _keys(cls, nested=None) -> tuple:
-    return tuple(f.name for f in fields(cls) if f.name != nested)
-
-
-_RUN_KEYS = _keys(RunConfig, "scoring")
-_SCORING_KEYS = _keys(ScoringParams, "feature_params")
-_FEATURE_KEYS = _keys(FeatureParams)
 _DEFAULTS = RunConfig().to_dict()
 _SPEC = TrajectorySpec()
-
-
-def _fits(value, default) -> bool:
-    """Whether a JSON value has the type of the default it replaces."""
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    if default is None:  # max_dim: an optional int
-        return value is None or _fits(value, 0)
-    if isinstance(default, bool) or isinstance(value, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -171,34 +101,14 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     values = {}
     if path is not None:
         values = _read_json_object(path, "config file")
-        unknown = set(values) - set(_DEFAULTS)
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-        for key, value in values.items():
-            if not _fits(value, _DEFAULTS[key]):
-                raise ValueError(f"{path}: config key {key!r} has the wrong type: {value!r}")
         # the file must hold a valid config by itself, so that the records'
-        # range errors can name it; a flag's value names no file
+        # errors can name it; a flag's value names no file
         try:
-            _build_config(values)
+            RunConfig.from_dict(values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     values.update({k: v for k, v in overrides.items() if v is not None})
-    return _build_config(values)
-
-
-def _build_config(values: dict) -> RunConfig:
-    """The RunConfig of flat config keys, defaults filling those not given."""
-    for key, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"config key {key!r} must be finite, got {value}")
-
-    def pick(keys):
-        return {k: values[k] for k in keys if k in values}
-
-    features = FeatureParams(**pick(_FEATURE_KEYS))
-    scoring = ScoringParams(**pick(_SCORING_KEYS), feature_params=features)
-    return RunConfig(**pick(_RUN_KEYS), scoring=scoring)
+    return RunConfig.from_dict(values)
 
 
 def config_overrides(args) -> dict:
@@ -240,11 +150,15 @@ def _require_id(value, key: str, path: str):
 
 
 def _require_number(entry, key: str, path: str) -> float:
+    """entry[key] as a finite float, or a ValueError naming the file and the key."""
     value = _require(entry, key, path)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{path}: key {key!r} holds {value!r}, not a number") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{path}: key {key!r} holds {value!r}, not a finite number")
+    return number
 
 
 # ------------------------------------------------------------------ input sets
@@ -545,11 +459,10 @@ def _items_from_pairs(path: str, frames: int, dims: int, seed: int):
     items = []
     for k, rec in enumerate(records):
         gap = _require_number(rec, "score_gap", path)
-        items.extend(
-            synthetic_preference_items(
-                1, frames, dims, seed=[seed, k], corruption=0.5 + 4.0 * gap
-            )
-        )
+        try:
+            items += synthetic_preference_items(1, frames, dims, seed=[seed, k], corruption=0.5 + 4.0 * gap)
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {k}: {exc}") from None
     return items
 
 

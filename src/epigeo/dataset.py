@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .records import DEFAULT_EPSILON, DEFAULT_MAX_PAIRS_PER_GROUP, DEFAULT_TAU, VideoScore
+from .records import DEFAULT_EPSILON, DEFAULT_MAX_PAIRS_PER_GROUP, DEFAULT_TAU, VideoScore, check_pair_settings
 
 SKIP_TOO_FEW_UNFLAGGED = "too_few_unflagged"
 
@@ -107,12 +107,7 @@ def build_pairs(
     the winner's score exceeds ``epsilon``.  Unrankable groups are skipped;
     ``on_skip(prompt_id, reason)`` is called for each if provided.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    if max_pairs_per_group < 1:
-        raise ValueError("max_pairs_per_group must be >= 1")
+    check_pair_settings(tau, epsilon, max_pairs_per_group)
     groups = list(groups)
     hashes = {g.config_hash for g in groups}
     if len(hashes) > 1:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import _as_int
+from .records import _as_type
 
 # squared-pixel value reported when an error denominator collapses
 # (point at an epipole); such entries carry a flag and are excluded
@@ -602,9 +602,7 @@ def ransac_fundamental(
     n = len(a)
     if n < 8:
         raise ValueError(f"need at least 8 correspondences, got {n}")
-    count = _as_int(iterations)
-    if count is None:
-        raise ValueError(f"iterations must be an integer, got {iterations!r}")
+    count = _as_type("iterations", iterations, "int")
     if count < 1:
         raise ValueError("iterations must be >= 1")
     if not math.isfinite(inlier_threshold):

@@ -1,8 +1,7 @@
 """Frame files: PGM encoding, decoding by file, and frame directories.
 
 The writer is deterministic: same inputs produce the same bytes, so reruns
-can be compared with a plain file diff.  The JSONL helpers and record
-readers live in ``records``, which needs no NumPy; they are re-exported here.
+can be compared with a plain file diff.  JSONL files are ``records``' own.
 """
 
 from __future__ import annotations
@@ -12,14 +11,6 @@ import os
 import numpy as np
 
 from .image import DecodeError, Frame, decode_frame
-from .records import (  # noqa: F401  re-exported: the JSONL helpers live in records
-    canonical_json,
-    from_record,
-    read_jsonl,
-    video_score_from_record,
-    video_score_to_record,
-    write_jsonl,
-)
 
 FRAME_EXTENSIONS = (".pgm", ".png")
 PGM_MAXVAL = 65535

@@ -2,19 +2,21 @@
 
 Everything here is plain Python: importing this module loads no NumPy, so
 the command line can build its parser and run `rank` and `pairs` without the
-numeric stack.  The modules that compute re-export the names they use from
-here (``features.FeatureParams``, ``scoring.VideoScore``, ``io.read_jsonl``
-and so on), so either import path gives the same objects.
+numeric stack.  The modules that compute import what they use from here.
 
-Settings records check their own ranges and alone declare their defaults;
-an int setting takes an integral number (4.0 is stored as 4; 1.5 and True
-are errors).  A JSONL record is exactly its dataclass's fields;
-:func:`from_record` builds any of them back.  JSONL files are UTF-8 with one JSON object per line; an
+Settings records alone declare their defaults and check their values.  One
+field rule types every int, float and bool field: an int takes an integral
+number (4.0 is stored as 4; 1.5 and True are errors), a float any real number
+but a bool (4 is stored as 4.0), a bool only a bool.  :class:`RunConfig`'s
+pair and objective ranges are the checks ``dataset`` and ``alignment`` use.
+A JSONL record is exactly its dataclass's fields; :func:`from_record` builds
+any of them back.  JSONL files are UTF-8 with one JSON object per line; an
 optional metadata header is a single leading line starting with '#'.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -34,16 +36,38 @@ def _as_int(value):
     return as_int if as_int == value else None
 
 
-def _store_int_fields(record) -> None:
-    """Store each int field of a frozen settings record as an int, or raise
-    ValueError naming the field; an `int | None` field may also be None."""
+def _as_float(value):
+    """value as a float when it is a real number (4 counts; "4" and True do not), else None."""
+    try:
+        return float(value) if hasattr(value, "__float__") and not isinstance(value, bool) else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+# the field rule: declared type -> (the value as that type or None, its name in errors)
+_FIELD_TYPES = {
+    "int": (_as_int, "an integer"),
+    "float": (_as_float, "a real number"),
+    "bool": (lambda value: value if isinstance(value, bool) else None, "a bool"),
+}
+
+
+def _as_type(name: str, value, kind: str):
+    """value as a ``kind`` ("int", "float" or "bool"), or a ValueError naming ``name``."""
+    typed = _FIELD_TYPES[kind][0](value)
+    if typed is None:
+        raise ValueError(f"{name} must be {_FIELD_TYPES[kind][1]}, got {value!r}")
+    return typed
+
+
+def _store_typed_fields(record) -> None:
+    """Store each int, float and bool field of a frozen settings record as that
+    type, or raise ValueError naming it; an `int | None` field may be None."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if f.type == "int" or (f.type == "int | None" and value is not None):
-            as_int = _as_int(value)
-            if as_int is None:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(record, f.name, as_int)
+        kind = "int" if f.type == "int | None" and value is not None else f.type
+        if kind in _FIELD_TYPES:
+            object.__setattr__(record, f.name, _as_type(f.name, value, kind))
 
 
 @dataclass(frozen=True)
@@ -61,7 +85,7 @@ class FeatureParams:
     max_dim: int | None = None
 
     def __post_init__(self):
-        _store_int_fields(self)
+        _store_typed_fields(self)
         if self.octaves < 1:
             raise ValueError("octaves must be >= 1")
         if self.scales_per_octave < 3:
@@ -90,7 +114,10 @@ AGGREGATIONS = ("mean", "median", "trimmed_mean")
 def validated_gaps(gaps) -> tuple:
     """Frame index gaps as a tuple of ints: non-empty, each a positive
     integer (an integral float such as 4.0 counts, 1.5 and True do not)."""
-    given = tuple(gaps)
+    try:
+        given = tuple(gaps)
+    except TypeError:
+        raise ValueError(f"gaps must be integers, got {gaps!r}") from None
     ints = tuple(_as_int(g) for g in given)
     if None in ints:
         raise ValueError(f"gaps must be integers, got {list(given)}")
@@ -116,7 +143,7 @@ class ScoringParams:
     feature_params: FeatureParams = field(default_factory=FeatureParams)
 
     def __post_init__(self):
-        _store_int_fields(self)
+        _store_typed_fields(self)
         object.__setattr__(self, "gaps", validated_gaps(self.gaps))
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
@@ -166,7 +193,7 @@ class TrajectorySpec:
     dynamic_speed: float = 0.05
 
     def __post_init__(self):
-        _store_int_fields(self)
+        _store_typed_fields(self)
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.n_frames < 2:
@@ -212,6 +239,90 @@ DEFAULT_LEARNING_RATE = 1e-3
 # frames and dims of a synthesized toy clip
 DEFAULT_CLIP_FRAMES = 6
 DEFAULT_CLIP_DIMS = 4
+
+
+def check_pair_settings(tau, epsilon, max_pairs_per_group) -> None:
+    """Raise ValueError unless the preference-pair thresholds are in range."""
+    if not tau >= 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not max_pairs_per_group >= 1:
+        raise ValueError(f"max_pairs_per_group must be >= 1, got {max_pairs_per_group}")
+
+
+def check_objective_settings(beta=DEFAULT_BETA, lam=DEFAULT_LAMBDA, clean_mode=DEFAULT_CLEAN_MODE,
+                             penalty_branch=DEFAULT_PENALTY_BRANCH) -> None:
+    """Raise ValueError unless the objective's settings are valid; one not given is its default."""
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if not lam >= 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    if clean_mode not in CLEAN_MODES:
+        raise ValueError(f"clean_mode must be one of {CLEAN_MODES}, got {clean_mode!r}")
+    if penalty_branch not in PENALTY_BRANCHES:
+        raise ValueError(f"penalty_branch must be one of {PENALTY_BRANCHES}, got {penalty_branch!r}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Run-level settings plus the scoring parameters of one command-line run.
+
+    Config files, flags, :meth:`to_dict` and :meth:`from_dict` address them
+    all by one flat set of keys; feature settings live in ``scoring``.
+    """
+
+    seed: int = 0
+    # preference-pair thresholds
+    tau: float = DEFAULT_TAU
+    epsilon: float = DEFAULT_EPSILON
+    max_pairs_per_group: int = DEFAULT_MAX_PAIRS_PER_GROUP
+    # alignment objective
+    beta: float = DEFAULT_BETA
+    lam: float = DEFAULT_LAMBDA
+    clean_mode: str = DEFAULT_CLEAN_MODE
+    penalty_branch: str = DEFAULT_PENALTY_BRANCH
+    scoring: ScoringParams = field(default_factory=ScoringParams)
+
+    def __post_init__(self):
+        _store_typed_fields(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_pair_settings(self.tau, self.epsilon, self.max_pairs_per_group)
+        check_objective_settings(self.beta, self.lam, self.clean_mode, self.penalty_branch)
+
+    def to_dict(self) -> dict:
+        """The flat key layout that config files use and the hash covers."""
+        flat = asdict(self)
+        scoring = flat.pop("scoring")
+        flat.update(scoring.pop("feature_params"))
+        flat.update(scoring)
+        flat["gaps"] = list(flat["gaps"])
+        return flat
+
+    @classmethod
+    def from_dict(cls, flat: dict) -> "RunConfig":
+        """The RunConfig of :meth:`to_dict`'s flat keys, defaults filling those
+        not given; an unknown key or a non-finite float is a ValueError."""
+        rest = dict(flat)
+        run, scoring, features = (
+            {f.name: rest.pop(f.name) for f in fields(c)
+             if f.name in rest and f.name not in ("scoring", "feature_params")}
+            for c in (cls, ScoringParams, FeatureParams)
+        )
+        if rest:
+            raise ValueError(f"unknown config keys: {sorted(rest)}")
+        for key, value in flat.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config key {key!r} must be finite, got {value}")
+        scoring = ScoringParams(**scoring, feature_params=FeatureParams(**features))
+        return cls(**run, scoring=scoring)
+
+    @property
+    def config_hash(self) -> str:
+        digest = hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8"))
+        return digest.hexdigest()[:16]
+
 
 # ------------------------------------------------------------------- results
 

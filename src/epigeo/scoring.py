@@ -26,8 +26,7 @@ from .epipolar import (
 )
 from .features import extract_features, match_frames
 from .image import Frame, motion_level
-from .records import (  # noqa: F401  re-exported: the settings and result records
-    AGGREGATIONS,
+from .records import (
     STATUS_DEGENERATE,
     STATUS_ESTIMATION_FAILED,
     STATUS_OK,
@@ -35,6 +34,7 @@ from .records import (  # noqa: F401  re-exported: the settings and result recor
     PairScore,
     ScoringParams,
     VideoScore,
+    _as_type,
     validated_gaps,
 )
 
@@ -53,6 +53,8 @@ def frame_pairs(n_frames, gaps, stride=1):
     Gaps at least as large as the frame count contribute nothing.  The result
     is deduplicated and sorted.
     """
+    n_frames = _as_type("n_frames", n_frames, "int")
+    stride = _as_type("stride", stride, "int")
     if n_frames < 2:
         raise ValueError("need at least 2 frames")
     gaps = validated_gaps(gaps)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .epipolar import CameraMatrix
 from .image import Frame, gaussian_blur_array
-from .records import DEFAULT_DOT_SIGMA, TRAJECTORY_KINDS, TrajectorySpec  # noqa: F401  re-exported
+from .records import DEFAULT_DOT_SIGMA, TrajectorySpec
 
 # sub-stream keys so each degradation has an independent, stable RNG
 _JITTER_KEY = 101

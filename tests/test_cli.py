@@ -33,8 +33,8 @@ from epigeo.cli import (
     main,
 )
 from epigeo.image import Frame
-from epigeo.io import read_jsonl, write_jsonl, write_pgm
-from epigeo.records import FeatureParams, ScoringParams, TrajectorySpec
+from epigeo.io import write_pgm
+from epigeo.records import FeatureParams, ScoringParams, TrajectorySpec, read_jsonl, write_jsonl
 from epigeo.synth import camera_trajectory
 
 SCORE_FLAGS = [
@@ -193,6 +193,11 @@ def _malformed_run(case, ws, tmp):
         del entry[case[len("group_without_"):]]
         bad = _write_json(tmp / "groups.json", {"groups": [entry]})
         return ["rank", "--scores", str(scores), "--groups", str(bad), "--output", out], bad
+    if case in ("pair_with_nan_score_gap", "pair_with_overflowing_score_gap"):
+        gap = "NaN" if case == "pair_with_nan_score_gap" else "1e308"  # 4 * 1e308 is inf
+        bad = tmp / "pairs.jsonl"
+        bad.write_text(f'{{"prompt_id":"p0","score_gap":{gap}}}\n')  # read_jsonl accepts NaN
+        return ["dpo-demo", "--pairs", str(bad), "--out", out], bad
     if case in ("pair_without_score_gap", "pair_with_null_score_gap"):
         record = {"prompt_id": "p0", "winner_id": "clean", "loser_id": "shaky"}
         if case == "pair_with_null_score_gap":
@@ -322,6 +327,8 @@ def _malformed_run(case, ws, tmp):
     ("group_without_prompt_id", "prompt_id"),
     ("pair_without_score_gap", "score_gap"),
     ("pair_with_null_score_gap", "score_gap"),
+    ("pair_with_nan_score_gap", "key 'score_gap' holds nan, not a finite number"),
+    ("pair_with_overflowing_score_gap", "record 0: clip contains non-finite entries"),
     ("latent_without_x0_l", "x0_l"),
     ("latent_with_null_t", "'t'"),
     ("config_with_string_stride", "stride"),
@@ -478,6 +485,61 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
         load_config(str(path), {})
+
+
+# a value of another type for each type of config key, by the key's default
+_WRONG_TYPES = {str: (5, None), bool: (1, "true"), float: ("0.5", True), int: ("4", 4.5),
+                type(None): ("x", 4.5), list: ("x", 5)}
+
+
+@pytest.mark.parametrize("key", sorted(RunConfig().to_dict()))
+def test_config_value_of_the_wrong_type_is_fatal(tmp_path, capsys, key):
+    for value in _WRONG_TYPES[type(RunConfig().to_dict()[key])]:
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            RunConfig.from_dict({key: value})
+        cfg = _write_json(tmp_path / "cfg.json", {key: value})
+        code = main(["pairs", "--config", str(cfg), "--scores", "s.jsonl", "--groups", "g.json",
+                     "--output", str(tmp_path / "out.jsonl")])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {key} must be")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau", -1), ("epsilon", 0), ("epsilon", 1.5), ("max_pairs_per_group", 0), ("beta", 0),
+    ("lam", -1), ("clean_mode", "bogus"), ("penalty_branch", "bogus"),
+])
+@pytest.mark.parametrize("command", ["synth", "score", "pairs", "dpo-demo"])
+def test_run_setting_out_of_range_fails_at_load(tmp_path, capsys, command, key, value):
+    # every configurable subcommand loads the whole config first, so a bad
+    # pair or objective setting fails before any file is read or written
+    cfg = _write_json(tmp_path / "cfg.json", {key: value})
+    out = tmp_path / "out"
+    argv = {"synth": ["synth", "--out", str(out)],
+            "score": ["score", str(tmp_path / "videos"), "--output", str(out)],
+            "pairs": ["pairs", "--scores", "s.jsonl", "--groups", "g.json", "--output", str(out)],
+            "dpo-demo": ["dpo-demo", "--pairs", "p.jsonl", "--out", str(out)]}[command]
+    assert main(argv + ["--config", str(cfg)]) == EXIT_FATAL
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {key} must be")
+    assert not out.exists()
+
+
+# an integral in-range value for each float key; no integer lies in epsilon's (0, 1)
+_INTEGRAL_FLOATS = {"tau": 1, "beta": 2, "lam": 1, "inlier_threshold": 25, "static_threshold": 1,
+                    "base_sigma": 2, "contrast_threshold": 1, "edge_ratio_threshold": 10,
+                    "ratio_threshold": 1}
+
+
+def test_integral_floats_cover_the_float_keys():
+    float_keys = {key for key, value in RunConfig().to_dict().items() if type(value) is float}
+    assert set(_INTEGRAL_FLOATS) == float_keys - {"epsilon"}
+
+
+@pytest.mark.parametrize("key, value", sorted(_INTEGRAL_FLOATS.items()))
+def test_int_spelling_of_a_float_key_keeps_the_hash(tmp_path, key, value):
+    as_int = load_config(str(_write_json(tmp_path / "int.json", {key: value})), {})
+    as_float = load_config(str(_write_json(tmp_path / "float.json", {key: float(value)})), {})
+    assert as_int.config_hash == as_float.config_hash
+    assert as_int.to_dict() == as_float.to_dict() and type(as_int.to_dict()[key]) is float
 
 
 def test_config_file_matches_equivalent_flags(workspace, tmp_path):

@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from epigeo.dataset import PreferencePair
-from epigeo.io import (
+from epigeo.records import (
     from_record,
     read_jsonl,
     video_score_from_record,

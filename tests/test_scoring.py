@@ -1,5 +1,7 @@
 """Tests for frame-pair selection, pair scoring, and video aggregation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,18 @@ def test_frame_pairs_validation():
         frame_pairs(10, (2,), 0)
 
 
+@pytest.mark.parametrize("args, name", [((8, (1, 2), 1.5), "stride"), ((8, (1, 2), True), "stride"),
+                                        ((8.5, (1, 2), 1), "n_frames")])
+def test_frame_pairs_rejects_non_integers(args, name):
+    # 1.5 and 8.5 raised TypeError from range(), and True ran as stride 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+        frame_pairs(*args)
+
+
+def test_frame_pairs_takes_integral_numbers():
+    assert frame_pairs(8.0, (1, 2), np.int64(2)) == frame_pairs(8, (1, 2), 2)
+
+
 # ------------------------------------------------------------------ invariants
 
 def test_pair_score_inlier_count_bounded():
@@ -155,7 +169,7 @@ def test_non_finite_inlier_threshold_rejected(threshold):
 
 
 @pytest.mark.parametrize("gaps", [(1.5, 2.9), (2, 0.5), (float("nan"),), (float("inf"),), ("4",),
-                                  (True, 4)])
+                                  (True, 4), 5, None])
 def test_non_integral_gaps_rejected(gaps):
     with pytest.raises(ValueError, match="gaps must be integers"):
         ScoringParams(gaps=gaps)
@@ -191,6 +205,34 @@ def test_integral_int_settings_become_ints(cls, name):
     for value in (float(given), np.int64(given)):
         got = getattr(cls(**{name: value}), name)
         assert got == given and type(got) is int
+
+
+def _fields_of_type(kind):
+    return [(cls, f.name) for cls in (FeatureParams, ScoringParams, TrajectorySpec)
+            for f in fields(cls) if f.type == kind]
+
+
+@pytest.mark.parametrize("cls, name", _fields_of_type("float"))
+@pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+def test_float_settings_reject_other_types(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", [(cls, name) for cls, name in _fields_of_type("float")
+                                       if float(getattr(cls(), name)).is_integer()])
+def test_integral_float_settings_become_floats(cls, name):
+    # so a config that spells 25.0 as 25 hashes alike
+    given = getattr(cls(), name)
+    got = getattr(cls(**{name: int(given)}), name)
+    assert got == given and type(got) is float
+
+
+@pytest.mark.parametrize("cls, name", _fields_of_type("bool"))
+@pytest.mark.parametrize("value", [1, 0, "true", None])
+def test_bool_settings_take_a_bool_only(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a bool, got"):
+        cls(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["base_sigma", "contrast_threshold", "edge_ratio_threshold"])

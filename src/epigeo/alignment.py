@@ -9,7 +9,9 @@ from collapsing to static output.
 Everything here is small and exact on purpose: clips are plain (frames, dims)
 arrays, the demonstrator model is linear in its inputs, gradients are written
 out analytically, and a finite-difference checker verifies them.  Margin, loss
-and gradient come from one forward pass over an item, validated once.
+and gradient come from one forward pass over an item, validated once.  The
+clean-sample convention lives in _clean_sample and the temporal variance in
+_temporal_variance, and every caller reads them there.
 """
 
 from __future__ import annotations
@@ -155,9 +157,13 @@ def predict_clean(x_t, t: float, v, mode: str = DEFAULT_CLEAN_MODE) -> np.ndarra
     v = np.asarray(v, dtype=np.float64)
     if x_t.shape != v.shape:
         raise ValueError(f"shape mismatch: {x_t.shape} vs {v.shape}")
-    if mode == "self_consistent":
-        return x_t - t * v
-    return x_t + (1.0 - t) * v
+    return _clean_sample(x_t, t, v, mode)[0]
+
+
+def _clean_sample(x_t, t, v, mode):
+    """predict_clean's x_t + slope v, and its slope d x0_hat / d v: -t or 1 - t."""
+    slope = -t if mode == "self_consistent" else 1.0 - t
+    return x_t + slope * v, slope
 
 
 def _squared_error(target, predicted, term: str) -> float:
@@ -208,9 +214,13 @@ def temporal_penalty(x0_hat, lam: float = DEFAULT_LAMBDA) -> float:
     Always <= 0; minimizing a total loss that includes it rewards motion.
     """
     check_objective_settings(lam=lam)
-    x0_hat = as_clip(x0_hat)
-    variances = np.mean((x0_hat - x0_hat.mean(axis=0)) ** 2, axis=0)  # divisor T
-    return float(-lam * variances.mean())
+    return float(-lam * _temporal_variance(as_clip(x0_hat))[1])
+
+
+def _temporal_variance(clip):
+    """The clip centred on its frame mean, and its mean per-dim variance (divisor T)."""
+    centered = clip - clip.mean(axis=0)
+    return centered, np.mean(centered**2, axis=0).mean()
 
 
 def _neg_sigmoid_neg(z: float) -> float:
@@ -243,16 +253,14 @@ def _loss_and_gradient(item, model_theta, model_ref, beta, lam, penalty_branch, 
     grad = _neg_sigmoid_neg(z) * dz_dparams  # d softplus(-z) / dz, chained
 
     if lam > 0:
-        # clean sample is x_t + alpha v, so d x0_hat / d v = alpha
-        alpha = -t if clean_mode == "self_consistent" else (1.0 - t)
         penalized = branches if penalty_branch == "both" else branches[:1]
         pen = 0.0
         for x_t, _, pred in penalized:
-            x0_hat = x_t + alpha * pred
-            centered = x0_hat - x0_hat.mean(axis=0)
-            pen += float(-lam * np.mean(centered**2, axis=0).mean())
+            x0_hat, slope = _clean_sample(x_t, t, pred, clean_mode)
+            centered, variance = _temporal_variance(x0_hat)
+            pen += float(-lam * variance)
             dpen_dhat = -lam * 2.0 * centered / centered.size
-            grad = grad + _model_gradient_from_residual(alpha * dpen_dhat, x_t, t) / len(penalized)
+            grad = grad + _model_gradient_from_residual(slope * dpen_dhat, x_t, t) / len(penalized)
         loss = loss + pen / len(penalized)
     return loss, grad
 
@@ -321,7 +329,7 @@ def mean_winner_variance(items, model_theta, clean_mode: str = DEFAULT_CLEAN_MOD
     for item in items:
         x_t = interpolate(item.x0_w, item.eps_w, item.t)
         x0_hat = predict_clean(x_t, item.t, model_theta.evaluate(x_t, item.t), clean_mode)
-        vals.append(np.mean((x0_hat - x0_hat.mean(axis=0)) ** 2))
+        vals.append(_temporal_variance(x0_hat)[1])
     return float(np.mean(vals))
 
 

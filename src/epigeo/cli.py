@@ -51,7 +51,9 @@ from .records import (
     DEFAULT_CLIP_FRAMES,
     DEFAULT_DOT_SIGMA,
     DEFAULT_LEARNING_RATE,
+    DEFAULT_SCENE_EXTENT,
     DEFAULT_STEPS,
+    DEFAULT_TEXTURE_AMPLITUDE,
     PENALTY_BRANCHES,
     TRAJECTORY_KINDS,
     RunConfig,
@@ -538,6 +540,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an int >= minimum, so a smaller value is a usage error naming the flag."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return convert
+
+
 # The scene settings of `synth`: (flag, TrajectorySpec field, type, help).  The
 # parser adds one flag per row, defaulting to TrajectorySpec's value, and
 # cmd_synth builds its TrajectorySpec from them and records them in scene.json.
@@ -607,9 +622,9 @@ def build_parser() -> _Parser:
                        metavar=None if choices else flag[2:].replace("-", "_").upper(),
                        help=f"{help} (default: %(default)s)")
     p.add_argument("--points", type=int, default=150, help="scene points (default: %(default)s)")
-    p.add_argument("--extent", type=_finite_float, default=2.5, help="scene half-extent (default: %(default)s)")
+    p.add_argument("--extent", type=_finite_float, default=DEFAULT_SCENE_EXTENT, help="scene half-extent (default: %(default)s)")
     p.add_argument("--dot-sigma", dest="dot_sigma", type=_finite_float, default=DEFAULT_DOT_SIGMA, help="rendered dot size in px (default: %(default)s)")
-    p.add_argument("--texture", type=_finite_float, default=0.02, help="background texture amplitude (default: %(default)s)")
+    p.add_argument("--texture", type=_finite_float, default=DEFAULT_TEXTURE_AMPLITUDE, help="background texture amplitude (default: %(default)s)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("score", help="score videos for 3D consistency")
@@ -645,8 +660,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory (loss_trace.csv, final_params.json)")
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="gradient steps (default: %(default)s)")
     p.add_argument("--lr", type=_finite_float, default=DEFAULT_LEARNING_RATE, help="learning rate (default: %(default)s)")
-    p.add_argument("--frames", type=int, default=DEFAULT_CLIP_FRAMES, help="synthesized clip frames (default: %(default)s)")
-    p.add_argument("--dims", type=int, default=DEFAULT_CLIP_DIMS, help="synthesized clip dims (default: %(default)s)")
+    p.add_argument("--frames", type=_int_at_least(2), default=DEFAULT_CLIP_FRAMES, help="synthesized clip frames (default: %(default)s)")
+    p.add_argument("--dims", type=_int_at_least(1), default=DEFAULT_CLIP_DIMS, help="synthesized clip dims (default: %(default)s)")
     _config_flag(p, "--beta", "preference strength", type=float)
     _config_flag(p, "--lambda", "temporal penalty weight", dest="lam", type=float)
     _config_flag(p, "--clean-mode", "clean-sample reconstruction convention", choices=CLEAN_MODES)

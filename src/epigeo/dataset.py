@@ -9,6 +9,7 @@ Flagged videos (near-static or texture-starved) never enter pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 from .records import DEFAULT_EPSILON, DEFAULT_MAX_PAIRS_PER_GROUP, DEFAULT_TAU, VideoScore, check_pair_settings
 
@@ -101,10 +102,11 @@ def build_pairs(
 ):
     """Preference pairs from scored groups.
 
-    With ``max_pairs_per_group=1`` (the default) only the best-vs-worst pair
-    of each group is considered; larger budgets admit every ranked pair,
-    widest gap first.  A pair is emitted only if its gap exceeds ``tau`` and
-    the winner's score exceeds ``epsilon``.  Unrankable groups are skipped;
+    A group's candidates are its ranked (winner, loser) pairs, widest score
+    gap first, ties by winner id, then loser id.  Its pairs are the first
+    ``max_pairs_per_group`` candidates whose gap exceeds ``tau`` and whose
+    winner's score exceeds ``epsilon``, so the pairs at one budget are a
+    prefix of those at any larger one.  Unrankable groups are skipped;
     ``on_skip(prompt_id, reason)`` is called for each if provided.
     """
     check_pair_settings(tau, epsilon, max_pairs_per_group)
@@ -116,41 +118,16 @@ def build_pairs(
     pairs = []
     for group in groups:
         try:
-            ranked = rank_group(group)
+            ranked = [(vid, s.consistency_score) for vid, s in rank_group(group)]
         except GroupSkipped as skip:
             if on_skip is not None:
                 on_skip(skip.prompt_id, skip.reason)
             continue
-        if max_pairs_per_group == 1:
-            candidates = [(ranked[0], ranked[-1])]
-        else:
-            candidates = [
-                (ranked[i], ranked[j])
-                for i in range(len(ranked))
-                for j in range(i + 1, len(ranked))
-            ]
-            candidates.sort(
-                key=lambda c: (
-                    -(c[0][1].consistency_score - c[1][1].consistency_score),
-                    c[0][0],
-                    c[1][0],
-                )
-            )
-        emitted = 0
-        for (win_id, win), (lose_id, lose) in candidates:
-            if emitted >= max_pairs_per_group:
-                break
-            gap = win.consistency_score - lose.consistency_score
-            if gap > tau and win.consistency_score > epsilon:
-                pairs.append(
-                    PreferencePair(
-                        prompt_id=group.prompt_id,
-                        winner_id=win_id,
-                        loser_id=lose_id,
-                        winner_score=win.consistency_score,
-                        loser_score=lose.consistency_score,
-                        score_gap=gap,
-                    )
-                )
-                emitted += 1
+        candidates = sorted(combinations(ranked, 2), key=lambda c: (-(c[0][1] - c[1][1]), c[0][0], c[1][0]))
+        qualifying = (
+            PreferencePair(group.prompt_id, win_id, lose_id, win, lose, win - lose)
+            for (win_id, win), (lose_id, lose) in candidates
+            if win - lose > tau and win > epsilon
+        )
+        pairs.extend(islice(qualifying, max_pairs_per_group))
     return pairs

@@ -391,8 +391,8 @@ def _bilinear(img, taps):
 DESC_SAMPLE_SPACING = 0.75
 
 
-# keypoints described in one batched pass; bounds the (K, 256) and
-# (K, ~1600) temporaries however many keypoints share an (octave, level)
+# keypoints described in one batched pass; bounds the (K, 256) sample and
+# (K, 14, 14) corner temporaries however many keypoints share an (octave, level)
 DESC_BLOCK_KEYPOINTS = 256
 
 
@@ -426,8 +426,6 @@ def _spatial_corners():
 
 
 _SPATIAL_CORNERS = _spatial_corners()
-# histogram terms per keypoint: two orientation bins per spatial corner sample
-_DESC_TERMS = 2 * sum(cell.size for *_, cell in _SPATIAL_CORNERS)
 
 
 def _describe_block(gx, gy, kps):
@@ -466,21 +464,16 @@ def _describe_block(gx, gy, kps):
     orientation_corners = ((o0 % DESC_BINS, 1 - fo), ((o0 + 1) % DESC_BINS, fo))
     mag = mag.reshape(grid)
 
-    # (K, terms) weights and bins, corner-major within each row, so one
-    # bincount adds every bin's terms in the per-keypoint order; each corner
-    # writes its rectangle of samples, in row-major order, into its columns
-    weights = np.empty((n, _DESC_TERMS))
-    bins = np.empty((n, _DESC_TERMS), dtype=np.intp)
-    col = 0
+    # one np.add.at per trilinear corner, in order, each over its rectangle of
+    # samples in row-major order: every bin sums its terms in the per-keypoint order
+    hist = np.zeros(n * DESC_SIZE)
+    row_start = np.arange(n)[:, None, None] * DESC_SIZE
     for rows, cols, wr, wc, cell in _SPATIAL_CORNERS:
         spatial = mag[:, rows, cols] * wr * wc
         for obins, wo in orientation_corners:
-            span = slice(col, col + cell.size)
-            weights[:, span] = (spatial * wo[:, rows, cols]).reshape(n, cell.size)
-            bins[:, span] = (cell + obins[:, rows, cols]).reshape(n, cell.size)
-            col += cell.size
-    bins += np.arange(n)[:, None] * DESC_SIZE
-    hist = np.bincount(bins.ravel(), weights.ravel(), minlength=n * DESC_SIZE).reshape(n, DESC_SIZE)
+            bins = (row_start + cell + obins[:, rows, cols]).ravel()  # 1-d: add.at's fast path
+            np.add.at(hist, bins, (spatial * wo[:, rows, cols]).ravel())
+    hist = hist.reshape(n, DESC_SIZE)
 
     norms = _row_norms(hist)
     nonzero = norms >= 1e-12

@@ -163,6 +163,8 @@ class ScoringParams:
 
 TRAJECTORY_KINDS = ("orbit", "dolly", "arc")
 DEFAULT_DOT_SIGMA = 3.0  # rendered dot size, px
+DEFAULT_SCENE_EXTENT = 2.5  # scene half-extent, world units
+DEFAULT_TEXTURE_AMPLITUDE = 0.02  # background texture, below the detector's contrast cutoff
 
 
 @dataclass(frozen=True)

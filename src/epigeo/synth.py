@@ -20,7 +20,7 @@ import numpy as np
 
 from .epipolar import CameraMatrix
 from .image import Frame, gaussian_blur_array
-from .records import DEFAULT_DOT_SIGMA, TrajectorySpec
+from .records import DEFAULT_DOT_SIGMA, DEFAULT_SCENE_EXTENT, DEFAULT_TEXTURE_AMPLITUDE, TrajectorySpec
 
 # sub-stream keys so each degradation has an independent, stable RNG
 _JITTER_KEY = 101
@@ -93,7 +93,7 @@ class ProjectedScene:
     pairs: dict             # (i, j) -> CorrespondenceSet
 
 
-def generate_scene(n_points: int, extent: float = 2.0, seed: int = 0) -> Scene:
+def generate_scene(n_points: int, extent: float = DEFAULT_SCENE_EXTENT, seed: int = 0) -> Scene:
     """Uniform random points in [-extent, extent]^3, deterministic in seed."""
     if n_points < 8:
         raise ValueError(f"n_points must be >= 8, got {n_points}")
@@ -233,15 +233,15 @@ def render_dots(
     dot_sigma: float = DEFAULT_DOT_SIGMA,
     intensity_seed: int = 0,
     point_ids=None,
-    texture_amplitude: float = 0.0,
+    texture_amplitude: float = DEFAULT_TEXTURE_AMPLITUDE,
 ) -> Frame:
     """Rasterize points as Gaussian dots on a dark frame.
 
     Each dot gets a deterministic intensity in [0.4, 1.0] keyed by its
     point id (pass scene indices as point_ids to keep a point's brightness
-    stable across frames). texture_amplitude > 0 adds a fixed low-contrast
-    background so descriptors see some context; keep it below the detector
-    contrast threshold so it spawns no keypoints of its own.
+    stable across frames). texture_amplitude > 0 (the default) adds a fixed
+    low-contrast background so descriptors see some context; keep it below the
+    detector contrast threshold so it spawns no keypoints of its own.
     """
     if dot_sigma < 0.8:
         raise ValueError(f"dot_sigma must be >= 0.8, got {dot_sigma}")
@@ -282,7 +282,7 @@ def render_video(
     spec: TrajectorySpec,
     dot_sigma: float = DEFAULT_DOT_SIGMA,
     intensity_seed: int = 0,
-    texture_amplitude: float = 0.0,
+    texture_amplitude: float = DEFAULT_TEXTURE_AMPLITUDE,
     frame_indices=None,
 ):
     """Rasterize projected frames into a list of dot images.

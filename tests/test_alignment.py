@@ -296,6 +296,23 @@ def test_total_loss_composes_both_oracles():
     assert got == pytest.approx(LOG2 - 0.001, rel=1e-12)
 
 
+@pytest.mark.parametrize("penalty_branch", ["winner", "both"])
+@pytest.mark.parametrize("clean_mode", ["self_consistent", "reverse_time"])
+def test_total_loss_is_its_public_terms_bit_for_bit(penalty_branch, clean_mode):
+    dim, lam = 3, 0.01
+    theta, ref = random_models(dim, 42)
+    for item in synthetic_preference_items(3, 5, dim, seed=11):
+        def penalty(x0, eps):
+            x_t = interpolate(x0, eps, item.t)
+            return temporal_penalty(predict_clean(x_t, item.t, theta.evaluate(x_t, item.t), clean_mode), lam)
+
+        pen = penalty(item.x0_w, item.eps_w)
+        if penalty_branch == "both":
+            pen = (pen + penalty(item.x0_l, item.eps_l)) / 2
+        got = total_loss(item, theta, ref, 1.0, lam, penalty_branch, clean_mode)
+        assert got == flow_dpo_loss(item, theta, ref, 1.0) + pen
+
+
 def test_total_loss_validates_modes():
     # the loss and its gradient check the same settings, whatever lam is
     item = hand_item()

@@ -33,9 +33,9 @@ from epigeo.cli import (
     main,
 )
 from epigeo.image import Frame
-from epigeo.io import write_pgm
+from epigeo.io import load_frame, write_pgm
 from epigeo.records import FeatureParams, ScoringParams, TrajectorySpec, read_jsonl, write_jsonl
-from epigeo.synth import camera_trajectory
+from epigeo.synth import camera_trajectory, generate_scene, project_scene, render_video
 
 SCORE_FLAGS = [
     "--gaps", "1", "2", "--stride", "1", "--ransac-iterations", "300",
@@ -413,6 +413,17 @@ def test_non_finite_float_flag_is_usage_error(pairs_file, tmp_path, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, minimum", [("--frames", "1", 2), ("--dims", "0", 1)])
+def test_clip_size_below_its_minimum_is_usage_error(pairs_file, tmp_path, capsys, flag, value, minimum):
+    # a flag's range is checked as it is parsed, so the pairs file is not blamed
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["dpo-demo", "--pairs", str(pairs_file), "--out", str(out), flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}: must be >= {minimum}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_flag_beside_a_valid_config_file_names_no_file(workspace, tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"stride": 1})
     code = main(["score", str(workspace / "manifest.json"), "--config", str(cfg),
@@ -586,6 +597,18 @@ def test_synth_rerun_is_byte_identical(workspace, tmp_path):
     assert (out / "correspondences.jsonl").read_bytes() == (base / "correspondences.jsonl").read_bytes()
     for name in os.listdir(base / "frames"):
         assert (out / "frames" / name).read_bytes() == (base / "frames" / name).read_bytes()
+
+
+def test_synth_frames_are_the_library_defaults(tmp_path):
+    # scene extent and texture amplitude have one default, read by both
+    out = tmp_path / "scene"
+    assert main(["synth", "--out", str(out), "--seed", "3", "--frames", "3", "--points", "20"]) == EXIT_OK
+    spec = TrajectorySpec(n_frames=3)
+    projected = project_scene(generate_scene(20, seed=3), camera_trajectory(spec), spec)
+    for k, frame in enumerate(render_video(projected, spec, intensity_seed=3)):
+        write_pgm(frame, tmp_path / "library.pgm")
+        written = load_frame(out / "frames" / f"frame_{k:03d}.pgm").pixels
+        np.testing.assert_array_equal(written, load_frame(tmp_path / "library.pgm").pixels)
 
 
 def test_synth_records_dynamic_points(tmp_path):

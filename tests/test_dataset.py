@@ -136,6 +136,15 @@ def test_max_pairs_budget():
     assert gaps == sorted(gaps, reverse=True)
 
 
+def test_budget_one_takes_the_first_tied_loser_by_id():
+    # b and c tie for worst: every budget takes its losers in id order
+    g = group("p", vs("a", 0.909), vs("b", 0.5), vs("c", 0.5))
+    one = build_pairs([g], tau=0.0, max_pairs_per_group=1)
+    assert [(p.winner_id, p.loser_id) for p in one] == [("a", "b")]
+    two = build_pairs([g], tau=0.0, max_pairs_per_group=2)
+    assert [(p.winner_id, p.loser_id) for p in two] == [("a", "b"), ("a", "c")]
+
+
 def test_flagged_members_never_enter_pairs():
     g = group("p", vs("a", 0.95, near_static=True), vs("b", 0.80), vs("c", 0.30))
     pairs = build_pairs([g], tau=0.05, epsilon=0.5)
@@ -252,3 +261,20 @@ def test_ranking_ignores_member_order(members, data, tau, epsilon):
     for budget in (1, 2, 30):
         kwargs = dict(tau=tau, epsilon=epsilon, max_pairs_per_group=budget)
         assert build_pairs([h], **kwargs) == build_pairs([g], **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # few distinct scores, so most groups hold tied scores and tied gaps
+    scores=st.lists(st.sampled_from([0.3, 0.5, 0.6, 0.6000001, 0.9]), min_size=2, max_size=7),
+    tau=st.sampled_from([0.0, 0.05, 0.3]),
+    epsilon=st.sampled_from([0.2, 0.5]),
+)
+def test_pairs_at_a_budget_prefix_those_at_every_larger_budget(scores, tau, epsilon):
+    g = group("p", *(vs(f"v{k}", score) for k, score in enumerate(scores)))
+    # 7 members give at most 21 candidates, so budget 22 emits every pair
+    by_budget = [build_pairs([g], tau=tau, epsilon=epsilon, max_pairs_per_group=k)
+                 for k in range(1, 23)]
+    for budget, (pairs, more) in enumerate(zip(by_budget, by_budget[1:]), start=1):
+        assert len(pairs) == min(budget, len(by_budget[-1]))
+        assert more[: len(pairs)] == pairs

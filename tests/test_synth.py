@@ -199,7 +199,7 @@ class TestProjectScene:
 
 class TestRenderDots:
     def test_empty_is_black(self):
-        f = render_dots([], 64, 64)
+        f = render_dots([], 64, 64, texture_amplitude=0.0)
         assert f.pixels.max() == 0.0
 
     def test_empty_with_texture_is_low_amplitude(self):
@@ -220,8 +220,8 @@ class TestRenderDots:
             assert 0.4 - 1e-9 <= p <= 1.0
 
     def test_point_ids_keep_intensity_across_frames(self):
-        a = render_dots([(10.0, 10.0)], 64, 48, intensity_seed=5, point_ids=[3])
-        b = render_dots([(40.0, 30.0)], 64, 48, intensity_seed=5, point_ids=[3])
+        a = render_dots([(10.0, 10.0)], 64, 48, intensity_seed=5, point_ids=[3], texture_amplitude=0.0)
+        b = render_dots([(40.0, 30.0)], 64, 48, intensity_seed=5, point_ids=[3], texture_amplitude=0.0)
         assert a.pixels[10, 10] == pytest.approx(b.pixels[30, 40], abs=1e-12)
 
     def test_rejects_small_sigma(self):
@@ -229,7 +229,7 @@ class TestRenderDots:
             render_dots([(5.0, 5.0)], 32, 32, dot_sigma=0.5)
 
     def test_offscreen_points_ignored(self):
-        f = render_dots([(-500.0, -500.0)], 32, 32)
+        f = render_dots([(-500.0, -500.0)], 32, 32, texture_amplitude=0.0)
         assert f.pixels.max() == 0.0
 
     def test_clamped_to_one(self):

@@ -134,6 +134,11 @@ def interpolate(x0, eps, t: float) -> np.ndarray:
     x0, eps = as_clip(x0), as_clip(eps)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: {x0.shape} vs {eps.shape}")
+    return _interpolate(x0, eps, t)
+
+
+def _interpolate(x0, eps, t):
+    """interpolate on validated clips; _forward reads the same rule."""
     return (1.0 - t) * x0 + t * eps
 
 
@@ -142,6 +147,11 @@ def target_velocity(x0, eps) -> np.ndarray:
     x0, eps = as_clip(x0), as_clip(eps)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: {x0.shape} vs {eps.shape}")
+    return _target_velocity(x0, eps)
+
+
+def _target_velocity(x0, eps):
+    """target_velocity on validated clips; _forward reads the same rule."""
     return eps - x0
 
 
@@ -180,8 +190,8 @@ def _forward(item: DpoBatchItem, model_theta, model_ref, beta: float):
     t = item.t
     branches, excess = [], []
     for x0, eps, tag in ((item.x0_w, item.eps_w, "w"), (item.x0_l, item.eps_l, "l")):
-        x_t = (1.0 - t) * x0 + t * eps
-        v = eps - x0
+        x_t = _interpolate(x0, eps, t)
+        v = _target_velocity(x0, eps)
         pred = model_theta.evaluate(x_t, t)
         e_theta = _squared_error(v, pred, f"e_theta_{tag}")
         excess.append(e_theta - _squared_error(v, model_ref.evaluate(x_t, t), f"e_ref_{tag}"))

@@ -24,6 +24,12 @@ with the SVD solver, so every returned F and mask comes from the SVD solver.
 RANSAC stops at the first full consensus when that sample ends in the
 refit on all points, the result every all-inlier winner gives; otherwise
 ranking continues in the same pass, so no iteration is ranked twice.
+
+The ranking pass does a block's arithmetic in few large NumPy calls: one
+Hartley normalization for both images of all its samples, and one GEMM per
+image for the epipolar lines of all its models. On the pinned NumPy/BLAS
+build every row keeps the bits of its own per-model computation, so results
+do not depend on the block size (see _sampson_stack).
 """
 
 from __future__ import annotations
@@ -185,7 +191,7 @@ def _canonicalize(m: np.ndarray) -> np.ndarray:
         raise EstimationFailedError("estimated matrix is zero or non-finite")
     flat = flat / norm[:, None]
     peak = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
-    flat[peak < 0] = -flat[peak < 0]
+    np.negative(flat, out=flat, where=(peak < 0)[:, None])
     return flat.reshape(-1, 3, 3)
 
 
@@ -212,16 +218,21 @@ def _normalize_stack(pts: np.ndarray):
     """Hartley normalization of a (K, N, 3) stack of z = 1 point sets.
 
     Returns (transformed points, T per set, ok); ok is False for a set whose
-    points all coincide, and its T is then meaningless.
+    points all coincide, and its T is then meaningless. The transformed
+    points keep z = 1 exactly.
     """
-    xy = pts[..., :2]
-    centroid = xy.mean(axis=-2)
-    mean_dist = np.linalg.norm(xy - centroid[:, None, :], axis=-1).mean(axis=-1)
+    # the point sums of xy.mean(axis=-2), added in the same order, without
+    # its per-point inner loops over two coordinates
+    centroid = np.einsum("knc->kc", pts) / pts.shape[1]
+    d = pts - centroid[:, None, :]
+    d *= d
+    # sqrt(dx*dx + dy*dy) has the bits of np.linalg.norm over the two terms
+    mean_dist = np.sqrt(d[..., 0] + d[..., 1]).mean(axis=-1)
     ok = mean_dist >= 1e-12
     s = np.sqrt(2.0) / np.where(ok, mean_dist, 1.0)
     T = np.zeros((len(pts), 3, 3))
     T[:, 0, 0] = T[:, 1, 1] = s
-    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, :2, 2] = -s[:, None] * centroid[:, :2]
     T[:, 2, 2] = 1.0
     return pts @ np.swapaxes(T, -1, -2), T, ok
 
@@ -231,21 +242,16 @@ def _normalized_design(a: np.ndarray, b: np.ndarray):
 
     Returns (design, Ta, Tb, ok): design is (K, N, 9), one row per
     correspondence with the unknown F' raveled row-major; ok is False where
-    a set's points all coincide in either image.
+    a set's points all coincide in either image. Both images are normalized
+    in one call on the 2K sets; each set's arithmetic is that of a call of
+    its own. A row is the outer product x'_i x_j of the normalized points,
+    whose z = 1 leaves x'_0, x'_1, x_0, x_1 and 1 in their columns exactly.
     """
-    na, Ta, ok_a = _normalize_stack(a)
-    nb, Tb, ok_b = _normalize_stack(b)
-    design = np.empty(na.shape[:2] + (9,))
-    design[..., 0] = nb[..., 0] * na[..., 0]
-    design[..., 1] = nb[..., 0] * na[..., 1]
-    design[..., 2] = nb[..., 0]
-    design[..., 3] = nb[..., 1] * na[..., 0]
-    design[..., 4] = nb[..., 1] * na[..., 1]
-    design[..., 5] = nb[..., 1]
-    design[..., 6] = na[..., 0]
-    design[..., 7] = na[..., 1]
-    design[..., 8] = 1.0
-    return design, Ta, Tb, ok_a & ok_b
+    k = len(a)
+    normed, T, ok = _normalize_stack(np.concatenate((a, b)))
+    na, nb = normed[:k], normed[k:]
+    design = (nb[..., :, None] * na[..., None, :]).reshape(k, -1, 9)
+    return design, T[:k], T[k:], ok[:k] & ok[k:]
 
 
 def _svd_null_vectors(design: np.ndarray):
@@ -263,6 +269,8 @@ def _rank_two(v: np.ndarray, Ta: np.ndarray, Tb: np.ndarray, ok: np.ndarray):
     u, sv, vt = np.linalg.svd(v.reshape(-1, 3, 3))
     sv[:, 2] = 0.0
     m = np.swapaxes(Tb, -1, -2) @ ((u * sv[:, None, :]) @ vt) @ Ta
+    if ok.all():
+        return _canonicalize(m), ok
     m[ok] = _canonicalize(m[ok])
     return m, ok
 
@@ -331,19 +339,47 @@ def sampson_errors(f, points_a, points_b):
     are set to the cap value and flagged; callers exclude flagged entries
     from aggregation.
     """
-    return _sampson_stack(_f_matrix(f), *correspondence_arrays((points_a, points_b)))
+    values, flagged = _sampson_stack(
+        _f_matrix(f)[None], *correspondence_arrays((points_a, points_b))
+    )
+    return values[0], flagged[0]
 
 
 def _sampson_stack(m: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Sampson errors of (N, 3) point arrays under each F of a (..., 3, 3) stack."""
-    fx = a @ np.swapaxes(m, -1, -2)  # lines in image B
-    ftx = b @ m                      # lines in image A
-    resid = np.einsum("ij,...ij->...i", b, fx)
-    denom = fx[..., 0] ** 2 + fx[..., 1] ** 2 + ftx[..., 0] ** 2 + ftx[..., 1] ** 2
+    """Sampson errors of (N, 3) point arrays under each F of a (K, 3, 3) stack;
+    returns (values, flagged), each (K, N).
+
+    The epipolar lines of all K models come from one GEMM per image: column
+    3k + j of a @ [F_0^T ... F_K-1^T] is column j of a @ F_k^T. On the pinned
+    NumPy/BLAS build these block products reproduce the per-model products
+    bit for bit for sets of two or more points and blocks of at most
+    RANSAC_BLOCK_POINTS model-point pairs, the largest RANSAC ranks (larger
+    GEMMs may take another BLAS kernel), provided the right-hand matrix is
+    C-ordered: given its transposed view, BLAS rounds wide blocks
+    differently. A single model keeps the view, which is its own per-model
+    product for any set. The residual is np.einsum's three-term sum, as per
+    model: its SIMD reduction adds the terms as (p0 + p2) + p1, so a sum
+    written out as p0 + p1 + p2 would change last bits.
+    """
+    k = len(m)
+    lines_b = m.transpose(2, 0, 1).reshape(3, 3 * k)  # [F_0^T ... F_K-1^T]
+    if k > 1:
+        lines_b = np.ascontiguousarray(lines_b)
+    lines = a @ lines_b
+    fx = lines.reshape(-1, k, 3)  # lines in image B, (N, K, 3)
+    values = np.einsum("ij,ikj->ik", b, fx)
+    x, y = fx[..., 0], fx[..., 1]
+    denom = np.square(x, out=x) + np.square(y, out=y)
+    # the lines in image A replace them in the same buffer
+    np.matmul(b, m.transpose(1, 0, 2).reshape(3, 3 * k), out=lines)
+    denom += np.square(x, out=x)
+    denom += np.square(y, out=y)
     flagged = denom < DENOM_EPS
+    np.square(values, out=values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(flagged, SAMPSON_CAP, resid**2 / denom)
-    return values, flagged
+        np.divide(values, denom, out=values)
+    values[flagged] = SAMPSON_CAP
+    return values.T, flagged.T
 
 
 def symmetric_epipolar_errors(f, points_a, points_b):
@@ -508,17 +544,19 @@ def _ransac(a, b, iterations, inlier_threshold, seed):
     # when a block is larger)
     chunk = block * max(1, RANSAC_BLOCK_POINTS // 8 // block)
     # the first block is ranked in two parts, its first _FIRST_BLOCK
-    # iterations alone; the other blocks stay on the grid, each in one draw
-    grid = {0, min(_FIRST_BLOCK, block), *range(block, iterations, block)}
+    # iterations alone and drawn alone, so that a search that stops there
+    # draws no more; the other blocks stay on the grid, each in one draw
+    first = min(_FIRST_BLOCK, block)
+    grid = {0, first, *range(block, iterations, block)}
     starts = sorted(s for s in grid if s < iterations)
     best = (0, math.inf, None)  # (inliers, mean inlier error, sample rows)
     for start, stop in zip(starts, starts[1:] + [iterations]):
-        if start % chunk == 0:
-            drawn = _ransac_samples(n, seed, start, min(start + chunk, iterations))
-        idx = drawn[start % chunk : start % chunk + stop - start]
+        if start in (0, first) or start % chunk == 0:
+            end = first if start == 0 else start - start % chunk + chunk
+            drawn, drawn_from = _ransac_samples(n, seed, start, min(end, iterations)), start
+        idx = drawn[start - drawn_from : stop - drawn_from]
         models, ok = _sample_stack(a[idx], b[idx])
-        errors, flagged = _sampson_stack(models, a, b)
-        masks = (errors < inlier_threshold) & ~flagged
+        errors, masks = _inliers(models, a, b, inlier_threshold)
         counts = np.where(ok, masks.sum(axis=1), 0)
         top = int(counts.max())
         if top == n > best[0]:  # the first full consensus
@@ -544,6 +582,15 @@ def _ransac(a, b, iterations, inlier_threshold, seed):
     return m, mask
 
 
+def _inliers(models, a, b, inlier_threshold):
+    """(Sampson errors, inlier masks), each (K, N), of (N, 3) points under a
+    (K, 3, 3) stack; a flagged error is never an inlier."""
+    errors, flagged = _sampson_stack(models, a, b)
+    masks = errors < inlier_threshold
+    masks &= ~flagged
+    return errors, masks
+
+
 def _consensus_fit(a, b, sample, inlier_threshold):
     """(F, mask, on_all) of a RANSAC winner's sample.
 
@@ -555,8 +602,7 @@ def _consensus_fit(a, b, sample, inlier_threshold):
     # the sample-stage models only rank: solve the winner with the SVD solver,
     # as a one-sample stack like the blocks the candidates were scored in
     models, ok = _eight_point_stack(a[sample][None], b[sample][None])
-    errors, flagged = _sampson_stack(models, a, b)
-    mask = (errors[0] < inlier_threshold) & ~flagged[0]
+    mask = _inliers(models, a, b, inlier_threshold)[1][0]
     model = models[0]
     count = int(mask.sum())
     if count < 8:
@@ -567,8 +613,7 @@ def _consensus_fit(a, b, sample, inlier_threshold):
         refit = _eight_point_arrays(a[mask], b[mask])
     except DegenerateConfigurationError:
         return model, mask, False  # consensus set itself degenerate; keep the sample model
-    errors, flagged = _sampson_stack(refit, a, b)
-    final_mask = (errors < inlier_threshold) & ~flagged
+    final_mask = _inliers(refit[None], a, b, inlier_threshold)[1][0]
     if int(final_mask.sum()) < 8:
         return model, mask, False  # refit drifted off the consensus; keep the sample mask
     return refit, final_mask, bool(ok[0] and mask.all())

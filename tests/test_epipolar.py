@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epigeo import epipolar
@@ -201,6 +201,107 @@ class TestSampsonError:
                 assert values[i] == pytest.approx(value, rel=1e-12)
 
 
+def per_model_sampson(f, a, b):
+    """Sampson errors of one F on (N, 3) z = 1 points, in the per-model form
+    the block products must reproduce bit for bit."""
+    fx = a @ f.T
+    ftx = b @ f
+    resid = np.einsum("ij,ij->i", b, fx)
+    denom = fx[:, 0] ** 2 + fx[:, 1] ** 2 + ftx[:, 0] ** 2 + ftx[:, 1] ** 2
+    flagged = denom < epipolar.DENOM_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(flagged, epipolar.SAMPSON_CAP, resid**2 / denom)
+    return values, flagged
+
+
+def per_set_design(a, b):
+    """(design, Ta, Tb, ok) of one (N, 3) z = 1 correspondence set: Hartley
+    normalization and the constraint rows written out column by column."""
+
+    def normalize(pts):
+        xy = pts[:, :2]
+        centroid = xy.mean(axis=0)
+        mean_dist = np.linalg.norm(xy - centroid, axis=1).mean()
+        ok = mean_dist >= 1e-12
+        s = np.sqrt(2.0) / (mean_dist if ok else 1.0)
+        t = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+        return pts @ t.T, t, ok
+
+    na, ta, ok_a = normalize(a)
+    nb, tb, ok_b = normalize(b)
+    design = np.empty((len(a), 9))
+    design[:, 0] = nb[:, 0] * na[:, 0]
+    design[:, 1] = nb[:, 0] * na[:, 1]
+    design[:, 2] = nb[:, 0]
+    design[:, 3] = nb[:, 1] * na[:, 0]
+    design[:, 4] = nb[:, 1] * na[:, 1]
+    design[:, 5] = nb[:, 1]
+    design[:, 6] = na[:, 0]
+    design[:, 7] = na[:, 1]
+    design[:, 8] = 1.0
+    return design, ta, tb, ok_a and ok_b
+
+
+def z1_points(rng, n, scale):
+    return np.hstack([rng.uniform(-1.0, 1.0, (n, 2)) * scale, np.ones((n, 1))])
+
+
+class TestBlockArithmetic:
+    """The ranking pass computes a block of models or samples in one call;
+    each row must have the bits of its own per-model computation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 600), n=st.integers(8, 300),
+           log_scale=st.floats(-3.0, 3.0), at_epipole=st.integers(0, 3))
+    @example(seed=0, k=1, n=8, log_scale=-3.0, at_epipole=1)
+    @example(seed=1, k=16, n=120, log_scale=2.5, at_epipole=0)
+    @example(seed=2, k=184, n=120, log_scale=2.5, at_epipole=2)  # a ladder block
+    @example(seed=3, k=546, n=120, log_scale=3.0, at_epipole=0)  # a full block
+    def test_sampson_block_equals_one_model_calls(self, seed, k, n, log_scale, at_epipole):
+        # the claim covers the blocks RANSAC ranks, at most RANSAC_BLOCK_POINTS
+        # model-point pairs; larger GEMMs may take another BLAS kernel
+        k = min(k, epipolar.RANSAC_BLOCK_POINTS // n)
+        rng = np.random.default_rng(seed)
+        a, b = z1_points(rng, n, 10.0**log_scale), z1_points(rng, n, 10.0**log_scale)
+        m = rng.normal(size=(k, 3, 3))
+        # model 0 has both epipoles at the origin, where the first points sit:
+        # their lines vanish, so those errors are flagged and capped
+        m[0, :, 2] = m[0, 2, :] = 0.0
+        a[:at_epipole] = b[:at_epipole] = (0.0, 0.0, 1.0)
+        values, flagged = epipolar._sampson_stack(m, a, b)
+        assert values.shape == flagged.shape == (k, n)
+        assert flagged[0, :at_epipole].all()
+        assert (values[0, :at_epipole] == epipolar.SAMPSON_CAP).all()
+        for row in range(k):
+            one_values, one_flagged = epipolar._sampson_stack(m[row : row + 1], a, b)
+            want_values, want_flagged = per_model_sampson(m[row], a, b)
+            assert values[row].tobytes() == one_values[0].tobytes() == want_values.tobytes(), row
+            assert np.array_equal(flagged[row], one_flagged[0])
+            assert np.array_equal(flagged[row], want_flagged)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 64), n=st.integers(8, 40),
+           log_scale=st.floats(-3.0, 3.0), coincident=st.booleans())
+    @example(seed=0, k=1, n=8, log_scale=0.0, coincident=True)
+    @example(seed=1, k=184, n=8, log_scale=2.5, coincident=False)  # a ladder block's samples
+    def test_batched_design_equals_per_set_normalization(self, seed, k, n, log_scale, coincident):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        a = np.stack([z1_points(rng, n, scale) + (rng.uniform(-3, 3) * scale, 0.0, 0.0)
+                      for _ in range(k)])
+        b = np.stack([z1_points(rng, n, scale) for _ in range(k)])
+        if coincident:  # every point of the last set's image-B side coincides
+            b[-1] = b[-1, 0]
+        design, ta, tb, ok = epipolar._normalized_design(a, b)
+        assert ok[-1] != coincident
+        for row in range(k):
+            want = per_set_design(a[row], b[row])
+            assert design[row].tobytes() == want[0].tobytes(), row
+            assert ta[row].tobytes() == want[1].tobytes()
+            assert tb[row].tobytes() == want[2].tobytes()
+            assert ok[row] == want[3]
+
+
 class TestSymmetricEpipolarError:
     def test_hand_value(self):
         # x=(1,0,1): line Fx=(0,-1,0), d(x',line)^2=1; line F^T x'=(0,0,1) is
@@ -278,6 +379,29 @@ class TestRansac:
         f2, m2 = ransac_fundamental((xa, xb), **kwargs)
         assert np.array_equal(m1, m2)
         assert np.array_equal(f1.m, f2.m)
+
+    def test_draws_follow_the_ranking(self, rig, monkeypatch):
+        # a noise-free pair stops at its first all-inlier sample, so at the
+        # default 2000 iterations it draws only the 16 samples it ranks; a pair
+        # with outliers draws the rest once ranking goes on
+        drawn = []
+        samples = epipolar._ransac_samples
+
+        def spy(n, seed, start, stop):
+            drawn.append(stop - start)
+            return samples(n, seed, start, stop)
+
+        monkeypatch.setattr(epipolar, "_ransac_samples", spy)
+        cam_a, cam_b = rig
+        xa, xb, _ = project_box(cam_a, cam_b, 120, seed=21)
+        _, mask = ransac_fundamental((xa, xb), iterations=2000, seed=3)
+        assert mask.all()
+        assert drawn == [epipolar._FIRST_BLOCK]
+        drawn.clear()
+        xb[:30] = np.random.default_rng(5).uniform((0, 0), (640, 480), size=(30, 2))
+        _, mask = ransac_fundamental((xa, xb), iterations=2000, seed=3)
+        assert 85 <= mask.sum() <= 92
+        assert drawn == [epipolar._FIRST_BLOCK, 2000 - epipolar._FIRST_BLOCK]
 
     def test_seven_points_contract_error(self, rig):
         cam_a, cam_b = rig
@@ -486,7 +610,7 @@ def reference_ransac(correspondences, iterations, inlier_threshold, seed):
         refit = epipolar._eight_point_arrays(a[mask], b[mask])
     except DegenerateConfigurationError:
         refit = model
-    errors, flagged = epipolar._sampson_stack(refit, a, b)
+    errors, flagged = sampson_errors(refit, a, b)
     final_mask = (errors < inlier_threshold) & ~flagged
     if int(final_mask.sum()) < 8:
         final_mask, refit = mask, model
@@ -595,7 +719,7 @@ class TestRansacAgainstReference:
         assert len(a) == 8 and len(np.unique(np.hstack([a, b]), axis=0)) == 7
         assert kwargs == dict(iterations=77, inlier_threshold=4.0, seed=2790843369)
         refit = epipolar._eight_point_arrays(a, b)
-        errors, flagged = epipolar._sampson_stack(refit, a, b)
+        errors, flagged = sampson_errors(refit, a, b)
         assert int(((errors < 4.0) & ~flagged).sum()) == 6
         want = reference_ransac(corr, **kwargs)
 

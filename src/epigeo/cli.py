@@ -26,8 +26,8 @@ OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where the user
 has not set them, so that `score`'s workers do not each start a BLAS pool.
 
 Malformed input files end in a fatal error that names the file and the
-offending key.  Exit codes: 0 success, 1 fatal error, 2 partial success (some
-videos flagged or groups skipped), 64 usage error.
+offending key.  Exit codes: 0 success, 1 fatal error, 2 partial success (`score`
+flagged a video or `rank` skipped a group), 64 usage error.
 """
 
 from __future__ import annotations
@@ -175,8 +175,6 @@ def _frame_files(directory: str) -> list:
 
 def collect_videos(input_path: str):
     """Resolve a frame directory or manifest into (video_id, frame_paths)."""
-    from .io import list_frame_files
-
     if os.path.isfile(input_path):
         if not input_path.endswith(".json"):
             raise ValueError("input file must be a .json manifest")
@@ -195,7 +193,7 @@ def collect_videos(input_path: str):
                          for p in frames]
             elif "dir" in entry:
                 directory = _require_type(entry["dir"], str, "dir", input_path)
-                paths = list_frame_files(os.path.join(base, directory))
+                paths = _frame_files(os.path.join(base, directory))
             else:
                 raise ValueError(f"video {vid!r} needs a 'frames' list or a 'dir'")
             videos.append((vid, paths))
@@ -387,7 +385,7 @@ def cmd_score(args) -> int:
             scores = list(pool.map(_score_one, *work))
     records = [video_score_to_record(vs, per_pair=args.per_pair) for vs in scores]
     write_jsonl(args.output, records, _header(chash, record="video_score"))
-    flagged = any(vs.near_static or vs.insufficient_texture for vs in scores)
+    flagged = any(vs.flagged for vs in scores)
     return _finish(args, chash, args.output) or (EXIT_PARTIAL if flagged else EXIT_OK)
 
 

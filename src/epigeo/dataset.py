@@ -3,7 +3,7 @@
 Several videos generated from one prompt are ranked by consistency score, and
 (winner, loser) pairs are emitted only when the winner is clearly better: the
 score gap must exceed tau and the winner's own score must exceed epsilon.
-Flagged videos (near-static or texture-starved) never enter pairs.
+Flagged videos (``VideoScore.flagged``) are neither ranked nor paired.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .records import DEFAULT_EPSILON, DEFAULT_MAX_PAIRS_PER_GROUP, DEFAULT_TAU, VideoScore, check_pair_settings
+from .records import DEFAULT_EPSILON, DEFAULT_MAX_PAIRS_PER_GROUP, DEFAULT_TAU, check_pair_settings
 
 SKIP_TOO_FEW_UNFLAGGED = "too_few_unflagged"
 
@@ -23,14 +23,6 @@ class GroupSkipped(Exception):
         super().__init__(f"group {prompt_id!r} skipped: {reason}")
         self.prompt_id = prompt_id
         self.reason = reason
-
-
-def _usable(score: VideoScore) -> bool:
-    return (
-        not score.near_static
-        and not score.insufficient_texture
-        and score.consistency_score is not None
-    )
 
 
 @dataclass(frozen=True)
@@ -81,16 +73,16 @@ class PreferencePair:
 
 
 def rank_group(group: GenerationGroup):
-    """Usable members ordered best-first.
+    """Unflagged members ordered best-first.
 
-    Flagged or unscored members are excluded.  Order is descending
-    consistency score; exact ties fall back to video id, so the ranking is
-    deterministic.  Fewer than 2 usable members raises :class:`GroupSkipped`.
+    Order is descending consistency score; exact ties fall back to video id,
+    so the ranking is deterministic.  Fewer than 2 unflagged members raises
+    :class:`GroupSkipped`.
     """
-    usable = [(vid, s) for vid, s in group.members if _usable(s)]
-    if len(usable) < 2:
+    unflagged = [(vid, s) for vid, s in group.members if not s.flagged]
+    if len(unflagged) < 2:
         raise GroupSkipped(group.prompt_id, SKIP_TOO_FEW_UNFLAGGED)
-    return sorted(usable, key=lambda m: (-m[1].consistency_score, m[0]))
+    return sorted(unflagged, key=lambda m: (-m[1].consistency_score, m[0]))
 
 
 def build_pairs(

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import _as_type
+from .records import DEFAULT_INLIER_THRESHOLD, DEFAULT_RANSAC_ITERATIONS, _as_type
 
 # squared-pixel value reported when an error denominator collapses
 # (point at an epipole); such entries carry a flag and are excluded
@@ -621,11 +621,14 @@ def _consensus_fit(a, b, sample, inlier_threshold):
 
 def ransac_fundamental(
     correspondences,
-    iterations: int = 2000,
-    inlier_threshold: float = 1.0,
+    iterations: int = DEFAULT_RANSAC_ITERATIONS,
+    inlier_threshold: float = DEFAULT_INLIER_THRESHOLD,
     seed: int = 0,
 ):
     """RANSAC over 8-point minimal samples; returns (FundamentalMatrix, inlier mask).
+
+    The mask holds at least 8 correspondences, none of them flagged by
+    sampson_errors under the returned F.
 
     Deterministic for a given seed: iteration i draws its sample as
     default_rng(seed ^ i).choice(n, 8, replace=False), so any evaluation

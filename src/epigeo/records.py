@@ -128,6 +128,10 @@ def validated_gaps(gaps) -> tuple:
     return ints
 
 
+DEFAULT_RANSAC_ITERATIONS = 2000
+DEFAULT_INLIER_THRESHOLD = 1.0  # px^2
+
+
 @dataclass(frozen=True)
 class ScoringParams:
     """Knobs for pair selection, estimation, and aggregation."""
@@ -135,8 +139,8 @@ class ScoringParams:
     gaps: tuple = (4, 8)
     stride: int = 4
     min_matches: int = 30
-    ransac_iterations: int = 2000
-    inlier_threshold: float = 1.0  # px^2, converted if coordinates are rescaled
+    ransac_iterations: int = DEFAULT_RANSAC_ITERATIONS
+    inlier_threshold: float = DEFAULT_INLIER_THRESHOLD  # converted if coordinates are rescaled
     aggregation: str = "mean"
     static_threshold: float = 0.90
     normalize_by_diagonal: bool = True
@@ -389,6 +393,11 @@ class VideoScore:
                 raise ValueError("consistency_score must equal 1/(1+consistency_error)")
         if self.motion_level is None and self.near_static:
             raise ValueError("near_static requires a motion level")
+
+    @property
+    def flagged(self) -> bool:
+        """Left out of ranking and pairs: near-static, short of texture, or unscored."""
+        return self.near_static or self.insufficient_texture or self.consistency_score is None
 
 
 # --------------------------------------------------------------------- JSONL

@@ -99,20 +99,15 @@ def _score_matched_points(pts_a, pts_b, params, frame_i, frame_j, seed, diagonal
     except (DegenerateConfigurationError, EstimationFailedError):
         return PairScore(frame_i, frame_j, n_matches, 0, None, None, STATUS_ESTIMATION_FAILED)
 
-    errors, flagged = sampson_errors(model.m, a, b)
-    usable = mask & ~flagged  # capped values carry no geometric information
-    n_inliers = int(np.count_nonzero(mask))
-    if not np.any(usable):
-        return PairScore(frame_i, frame_j, n_matches, n_inliers, None, None, STATUS_ESTIMATION_FAILED)
-
-    mean_err = float(np.mean(errors[usable]))
-    median_err = float(np.median(errors[usable]))
-
-    centroid_shift = float(np.linalg.norm(pts_a.mean(axis=0) - pts_b.mean(axis=0)))
+    # the mask holds at least 8 points, none of them flagged under the model
+    inlier_errors = sampson_errors(model.m, a, b)[0][mask]
+    n_inliers = len(inlier_errors)
+    mean_err = float(np.mean(inlier_errors))
+    median_err = float(np.median(inlier_errors))
     if (
         n_inliers / n_matches > DEGENERATE_INLIER_RATIO
         and median_err < DEGENERATE_MEDIAN_ERROR
-        and centroid_shift < DEGENERATE_CENTROID_SHIFT
+        and np.linalg.norm(pts_a.mean(axis=0) - pts_b.mean(axis=0)) < DEGENERATE_CENTROID_SHIFT
     ):
         return PairScore(frame_i, frame_j, n_matches, n_inliers, None, None, STATUS_DEGENERATE)
 
@@ -224,7 +219,6 @@ def score_video_from_correspondences(
     video_id="video",
     seed=0,
     diagonal=None,
-    motion=None,
     config_hash=None,
 ):
     """Score a video from already-matched point pairs.
@@ -233,8 +227,8 @@ def score_video_from_correspondences(
     a (points_a, points_b) tuple of (N, 2) pixel arrays, or an object such
     as ``synth.CorrespondenceSet`` whose ``as_arrays()`` returns that tuple.
     No matching or detection runs, so this isolates the geometric statistics
-    from feature noise.  ``motion`` may be supplied if frames exist elsewhere;
-    without it the near-static flag stays off.
+    from feature noise.  There are no frames to measure motion on, so
+    ``motion_level`` is None and the near-static flag stays off.
     """
     params = params or ScoringParams()
     results = []
@@ -247,4 +241,4 @@ def score_video_from_correspondences(
         results.append(
             _score_matched_points(pts_a, pts_b, params, i, j, seed, diagonal)
         )
-    return _assemble_video_score(video_id, results, motion, params, config_hash)
+    return _assemble_video_score(video_id, results, None, params, config_hash)

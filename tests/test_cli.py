@@ -11,7 +11,8 @@ import subprocess
 import sys
 import threading
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from epigeo.cli import (
 )
 from epigeo.image import Frame
 from epigeo.io import load_frame, write_pgm
-from epigeo.records import FeatureParams, ScoringParams, TrajectorySpec, read_jsonl, write_jsonl
+from epigeo.records import FeatureParams, ScoringParams, TrajectorySpec, VideoScore, read_jsonl, write_jsonl
 from epigeo.synth import camera_trajectory, generate_scene, project_scene, render_video
 
 SCORE_FLAGS = [
@@ -686,6 +687,40 @@ def test_collect_videos_nested_frames_dir(workspace):
     vid, paths = videos[0]
     assert vid == "clean"
     assert len(paths) == 6
+
+
+def test_manifest_dir_is_a_video_directory(workspace, tmp_path):
+    # a manifest's dir, like a directory input, may name a synth output, whose
+    # frames sit in its frames/ child
+    manifest = _write_json(tmp_path / "manifest.json", {"videos": [{"id": "clean", "dir": str(workspace / "clean")}]})
+    for name, source in (("dir", workspace / "clean"), ("manifest", manifest)):
+        assert main(["score", str(source), "--output", str(tmp_path / f"{name}.jsonl")] + SCORE_FLAGS) == EXIT_OK
+    assert (tmp_path / "manifest.jsonl").read_bytes() == (tmp_path / "dir.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("near_static, insufficient, scored", product((False, True), repeat=3))
+def test_score_exits_partial_exactly_when_rank_drops_a_video(workspace, tmp_path, monkeypatch,
+                                                             near_static, insufficient, scored):
+    error = 0.25 if scored else None
+    row = VideoScore("row", error, None if error is None else 1.0 / (1.0 + error),
+                     0.95 if near_static else 0.5, int(scored), near_static, insufficient)
+    assert row.flagged == (near_static or insufficient or not scored)
+    good = VideoScore("good", 1.0, 0.5, 0.5, 1, False, False)
+    fakes = {"row": row, "good1": good, "good2": good}
+    monkeypatch.setattr(cli, "_score_workers", lambda n: 1)
+    monkeypatch.setattr(cli, "score_video", lambda frames, params, video_id, seed, config_hash:
+                        replace(fakes[video_id], video_id=video_id, config_hash=config_hash))
+    _write_json(tmp_path / "manifest.json", {"videos": [
+        {"id": vid, "dir": str(workspace / "static")} for vid in fakes]})
+    _write_json(tmp_path / "groups.json", {"groups": [{"prompt_id": "p", "video_ids": list(fakes)}]})
+
+    code = main(["score", str(tmp_path / "manifest.json"), "--output", str(tmp_path / "scores.jsonl")])
+    assert main(["rank", "--scores", str(tmp_path / "scores.jsonl"), "--groups", str(tmp_path / "groups.json"),
+                 "--output", str(tmp_path / "ranking.jsonl")]) == EXIT_OK
+    _, (ranking,) = read_jsonl(tmp_path / "ranking.jsonl")
+    dropped = "row" not in ranking["ranking"]
+    assert dropped == row.flagged
+    assert code == (EXIT_PARTIAL if dropped else EXIT_OK)
 
 
 def test_check_jsonl_detects_foreign_hash(workspace):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epigeo import epipolar
+from epigeo import epipolar, scoring
 from epigeo.epipolar import (
     CameraMatrix,
     DegenerateConfigurationError,
@@ -24,6 +24,7 @@ from epigeo.epipolar import (
     skew,
     symmetric_epipolar_errors,
 )
+from epigeo.records import ScoringParams
 
 from conftest import K_DEFAULT, make_rig, project_box
 
@@ -745,6 +746,43 @@ class TestRansacAgainstReference:
         assert rows == [16, 61]  # 77 rows: each iteration ranked once
         assert f.m.tobytes() == want[0].tobytes()
         assert mask.tobytes() == want[1].tobytes()
+
+    def test_mask_is_the_scored_inlier_set(self, rig):
+        # the mask holds at least 8 points and none that sampson_errors flags
+        # under the returned F, so a pair's statistics over the mask are those
+        # over the mask less its flagged points, bit for bit; rows at the true
+        # epipoles, under a threshold above SAMPSON_CAP, are flagged inliers
+        # unless RANSAC leaves them out
+        true_f = fundamental_from_cameras(*rig)
+        at_epipoles = np.stack([epipole(true_f, "left").point[:2], epipole(true_f, "right").point[:2]])
+        rng = np.random.default_rng(909)
+        statuses, flagged_seen = set(), 0
+        for case in range(150):
+            (xa, xb), kwargs = random_ransac_case(rng, rig)
+            if rng.random() < 0.25:
+                xa, xb = (np.vstack([x, np.repeat(e[None], 2, axis=0)]) for x, e in zip((xa, xb), at_epipoles))
+                kwargs["inlier_threshold"] = 2 * epipolar.SAMPSON_CAP
+            params = ScoringParams(min_matches=8, ransac_iterations=kwargs["iterations"],
+                                   inlier_threshold=kwargs["inlier_threshold"], normalize_by_diagonal=False)
+            pair = scoring._score_matched_points(xa, xb, params, 0, 1, kwargs["seed"], None)
+            statuses.add(pair.status)
+            try:
+                f, mask = ransac_fundamental((xa, xb), iterations=kwargs["iterations"],
+                                             inlier_threshold=kwargs["inlier_threshold"],
+                                             seed=scoring._pair_seed(kwargs["seed"], 0, 1))
+            except EstimationFailedError:
+                assert pair.status == "estimation_failed", case
+                continue
+            errors, flagged = sampson_errors(f, xa, xb)
+            flagged_seen += int(flagged.sum())
+            assert mask.sum() >= 8 and not (mask & flagged).any(), case
+            assert pair.n_inliers == mask.sum()
+            if pair.status == "ok":
+                usable = errors[mask & ~flagged]
+                assert pair.mean_inlier_sampson == float(np.mean(usable)), case
+                assert pair.median_inlier_sampson == float(np.median(usable)), case
+        assert statuses == {"ok", "estimation_failed"}
+        assert flagged_seen > 0
 
 
 class TestFundamentalFromCameras:
